@@ -9,6 +9,10 @@ asked to evaluate an out-of-bounds point.
 Determinism: each run consumes a generator derived from ``(seed, path)``
 via :mod:`microlcoe.rng` in a fixed serial order, so identical inputs give
 bit-identical results no matter how scenarios or restarts are scheduled.
+The GA restarts of one search advance in lockstep, one stacked objective
+call per generation; each restart still draws from its own generator in
+the same order and stops when it stalls, so the result is bit-identical
+to running the restarts one by one.
 """
 
 from __future__ import annotations
@@ -194,86 +198,127 @@ def _check_finite(values: np.ndarray, designs: np.ndarray) -> None:
 
 
 def _selection_weights(values: np.ndarray) -> np.ndarray:
-    # Shift so the worst individual gets (almost) zero weight; the epsilon
-    # keeps at least one weight positive and breaks all-equal ties uniformly.
-    spread = float(values.max() - values.min())
-    eps = 1e-9 * spread if spread > 0.0 else 1.0
-    return (values.max() - values) + eps
+    # Per row (one row per run): shift so the worst individual gets (almost)
+    # zero weight; the epsilon keeps at least one weight positive and breaks
+    # all-equal ties uniformly.
+    top = values.max(axis=1, keepdims=True)
+    spread = top - values.min(axis=1, keepdims=True)
+    eps = np.where(spread > 0.0, 1e-9 * spread, 1.0)
+    return (top - values) + eps
 
 
 def ga_minimize(
     objective: Callable[[np.ndarray], np.ndarray],
     bounds: tuple[np.ndarray, np.ndarray],
     config: GaConfig,
-    seed: SeedLike,
+    seeds: list,
 ) -> MinimizeResult:
-    """One genetic-algorithm run: roulette selection on shifted fitness,
-    per-gene blend crossover, clamped Gaussian mutation, elitism.
+    """Genetic-algorithm runs, one per seed in ``seeds``, advanced in lockstep:
+    roulette selection on shifted fitness, per-gene blend crossover, clamped
+    Gaussian mutation, elitism.
 
-    Stops after ``config.generations`` generations or once the best value has
-    not improved by more than ``STALL_IMPROVEMENT`` for
-    ``config.stall_generations`` generations in a row.
+    A run stops after ``config.generations`` generations or once its best
+    value has not improved by more than ``STALL_IMPROVEMENT`` for
+    ``config.stall_generations`` generations in a row. Each generation makes
+    one objective call on the stacked populations of the runs still going.
+    Every run draws from its own ``make_rng(seed)`` generator in a fixed
+    order and stops drawing once it stops, so its result is bit-identical to
+    running it alone. Returns the best run (ties to the lowest index) with
+    its history, every run's best in seed order, and the evaluations of all
+    runs.
     """
-    rng = make_rng(seed)
+    if not isinstance(seeds, list) or not seeds:
+        raise TypeError("seeds must be a non-empty list with one seed per run")
+    rngs = [make_rng(seed) for seed in seeds]
+    runs = len(rngs)
     low, high = (np.asarray(b, dtype=float) for b in bounds)
     span = high - low
     ndim = low.size
     pop = config.population
-
-    x = low + rng.random((pop, ndim)) * span
-    values = objective(x)
-    _check_finite(values, x)
-    evaluations = pop
-
-    best_idx = int(np.argmin(values))
-    best_x = x[best_idx].copy()
-    best_fun = float(values[best_idx])
-    history = [best_fun]
-    stall = 0
-
     n_children = pop - config.elite_count
-    for _ in range(config.generations):
-        weights = _selection_weights(values)
-        cumulative = np.cumsum(weights)
-        draws = rng.random(2 * n_children) * cumulative[-1]
-        parent_idx = np.minimum(
-            np.searchsorted(cumulative, draws, side="right"), pop - 1
-        )
-        mothers = x[parent_idx[:n_children]]
-        fathers = x[parent_idx[n_children:]]
+    n_genes = n_children * ndim
+    noise_scale = config.mutation_scale * span
 
-        cross = rng.random((n_children, ndim)) < config.crossover_rate
-        blend = rng.random((n_children, ndim))
+    # Per-generation draw buffers, one row per run, reused by every generation.
+    uniforms = np.empty((runs, 2 * n_children + 3 * n_genes))
+    normals = np.empty((runs, n_children, ndim))
+    parent_idx = np.empty((runs, 2 * n_children), dtype=np.intp)
+
+    start = np.empty((runs, pop, ndim))
+    for rng, row in zip(rngs, start):
+        rng.random(out=row)
+    x = low + start * span
+    values = _evaluate(objective, x)
+
+    rows = np.arange(runs)
+    best_idx = np.argmin(values, axis=1)
+    best_x = x[rows, best_idx]
+    best_fun = values[rows, best_idx]
+    history = np.empty((runs, config.generations + 1))
+    history[:, 0] = best_fun
+    generations = np.zeros(runs, dtype=int)
+    stall = np.zeros(runs, dtype=int)
+    active = rows  # runs still going; row k of x and values belongs to active[k]
+
+    for gen in range(1, config.generations + 1):
+        n_active = active.size
+        here = rows[:n_active, None]
+        cumulative = np.cumsum(_selection_weights(values), axis=1)
+        for k, run in enumerate(active):
+            rng = rngs[run]
+            rng.random(out=uniforms[k])
+            rng.standard_normal(out=normals[k])
+            draws = uniforms[k, : 2 * n_children] * cumulative[k, -1]
+            parent_idx[k] = np.searchsorted(cumulative[k], draws, side="right")
+        parents = np.minimum(parent_idx[:n_active], pop - 1)
+        mothers = x[here, parents[:, :n_children]]
+        fathers = x[here, parents[:, n_children:]]
+
+        genes = uniforms[:n_active, 2 * n_children:].reshape(n_active, 3, n_children, ndim)
+        cross = genes[:, 0] < config.crossover_rate
+        blend = genes[:, 1]
         children = np.where(cross, blend * mothers + (1.0 - blend) * fathers, mothers)
 
-        mutate = rng.random((n_children, ndim)) < config.mutation_rate
-        noise = rng.normal(0.0, 1.0, (n_children, ndim)) * (config.mutation_scale * span)
+        mutate = genes[:, 2] < config.mutation_rate
+        noise = normals[:n_active] * noise_scale
         children = np.clip(children + mutate * noise, low, high)
 
-        elite_idx = np.argsort(values, kind="stable")[: config.elite_count]
-        x = np.concatenate([x[elite_idx], children])
-        values = objective(x)
-        _check_finite(values, x)
-        evaluations += pop
+        elite_idx = np.argsort(values, axis=1, kind="stable")[:, : config.elite_count]
+        x = np.concatenate([x[here, elite_idx], children], axis=1)
+        values = _evaluate(objective, x)
 
-        gen_best = int(np.argmin(values))
-        if best_fun - values[gen_best] > STALL_IMPROVEMENT:
-            best_fun = float(values[gen_best])
-            best_x = x[gen_best].copy()
-            stall = 0
-        else:
-            if values[gen_best] < best_fun:
-                best_fun = float(values[gen_best])
-                best_x = x[gen_best].copy()
-            stall += 1
-        history.append(best_fun)
-        if stall >= config.stall_generations:
-            break
+        gen_best = np.argmin(values, axis=1)
+        gen_fun = values[rows[:n_active], gen_best]
+        improved = best_fun[active] - gen_fun > STALL_IMPROVEMENT
+        lower = gen_fun < best_fun[active]
+        best_fun[active] = np.where(lower, gen_fun, best_fun[active])
+        best_x[active[lower]] = x[rows[:n_active][lower], gen_best[lower]]
+        stall[active] = np.where(improved, 0, stall[active] + 1)
+        history[active, gen] = best_fun[active]
+        generations[active] = gen
 
+        going = stall[active] < config.stall_generations
+        if not going.all():
+            active, x, values = active[going], x[going], values[going]
+            if not active.size:
+                break
+
+    winner = int(np.argmin(best_fun))
     return MinimizeResult(
-        x=best_x, fun=best_fun, evaluations=evaluations,
-        history=history, restart_bests=[best_fun],
+        x=best_x[winner].copy(),
+        fun=float(best_fun[winner]),
+        evaluations=int(pop * (generations + 1).sum()),
+        history=history[winner, : generations[winner] + 1].tolist(),
+        restart_bests=best_fun.tolist(),
     )
+
+
+def _evaluate(objective: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
+    """Objective values of stacked (runs, pop, ndim) populations, (runs, pop)."""
+    flat = x.reshape(-1, x.shape[-1])
+    values = objective(flat)
+    _check_finite(values, flat)
+    return values.reshape(x.shape[:2])
 
 
 def sa_minimize(
@@ -377,16 +422,15 @@ def optimize_design(
     bounds = bounds_arrays()
     if method == "ga":
         config = ga_config if ga_config is not None else GaConfig()
-        runner = lambda s: ga_minimize(objective, bounds, config, s)
-        restarts = config.restarts
+        seeds = [seed_path(seed, STREAM_RESTART, i) for i in range(config.restarts)]
+        raw = ga_minimize(objective, bounds, config, seeds)
     elif method == "sa":
         config = sa_config if sa_config is not None else SaConfig()
         runner = lambda s: sa_minimize(objective, bounds, config, s)
-        restarts = config.restarts
+        raw = multi_restart_best(runner, config.restarts, seed)
     else:
         raise ValueError("method must be 'ga' or 'sa'")
 
-    raw = multi_restart_best(runner, restarts, seed)
     design = ReactorDesign.from_array(raw.x)
     breakdown = lcoe_breakdown(design, costs, fin)
     cf = effective_capacity_factor(fin, design.t_refuel)

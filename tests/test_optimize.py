@@ -100,18 +100,18 @@ class TestPenalizedObjective:
 class TestGaMinimize:
     def test_finds_sphere_center_across_seeds(self):
         for seed in range(10):
-            result = ga_minimize(sphere, BOUNDS, GaConfig(), seed)
+            result = ga_minimize(sphere, BOUNDS, GaConfig(), [seed])
             assert np.all(np.abs(result.x - CENTER) <= 0.005 * SPAN)
 
     def test_deterministic(self):
-        a = ga_minimize(sphere, BOUNDS, QUICK_GA, 12)
-        b = ga_minimize(sphere, BOUNDS, QUICK_GA, 12)
+        a = ga_minimize(sphere, BOUNDS, QUICK_GA, [12])
+        b = ga_minimize(sphere, BOUNDS, QUICK_GA, [12])
         assert np.array_equal(a.x, b.x)
         assert a.fun == b.fun
         assert a.history == b.history
 
     def test_best_history_non_increasing(self):
-        result = ga_minimize(sphere, BOUNDS, QUICK_GA, 5)
+        result = ga_minimize(sphere, BOUNDS, QUICK_GA, [5])
         diffs = np.diff(result.history)
         assert np.all(diffs <= 0.0)
 
@@ -122,7 +122,7 @@ class TestGaMinimize:
             seen.append(x.copy())
             return sphere(x)
 
-        ga_minimize(instrumented, BOUNDS, QUICK_GA, 3)
+        ga_minimize(instrumented, BOUNDS, QUICK_GA, [3])
         stacked = np.vstack(seen)
         assert np.all(stacked >= BOUNDS[0]) and np.all(stacked <= BOUNDS[1])
 
@@ -133,13 +133,88 @@ class TestGaMinimize:
             return values
 
         with pytest.raises(EvaluationError) as excinfo:
-            ga_minimize(broken, BOUNDS, QUICK_GA, 0)
+            ga_minimize(broken, BOUNDS, QUICK_GA, [0])
         assert excinfo.value.design is not None
 
     def test_stall_terminates_early(self):
         config = GaConfig(population=30, generations=500, stall_generations=5)
-        result = ga_minimize(lambda x: np.zeros(len(x)), BOUNDS, config, 0)
+        result = ga_minimize(lambda x: np.zeros(len(x)), BOUNDS, config, [0])
         assert len(result.history) - 1 <= 10
+
+
+STALL_GA = GaConfig(population=30, generations=200, stall_generations=6, restarts=20)
+DESIGN_OBJECTIVE = make_design_objective(DEFAULT_COSTS, DEFAULT_FINANCE)
+
+
+def restart_seeds(seed, count):
+    return [seed_path(seed, STREAM_RESTART, i) for i in range(count)]
+
+
+class TestLockstepGa:
+    @pytest.mark.parametrize(
+        "objective,config,seed",
+        [(sphere, QUICK_GA, 0), (DESIGN_OBJECTIVE, GaConfig(restarts=4), 7),
+         (DESIGN_OBJECTIVE, STALL_GA, 3)],
+    )
+    def test_equals_single_seed_runs(self, objective, config, seed):
+        seeds = restart_seeds(seed, config.restarts)
+        lockstep = ga_minimize(objective, BOUNDS, config, seeds)
+        singles = [ga_minimize(objective, BOUNDS, config, [s]) for s in seeds]
+        funs = [r.fun for r in singles]
+        winner = singles[funs.index(min(funs))]
+        assert lockstep.restart_bests == funs
+        assert np.array_equal(lockstep.x, winner.x)
+        assert lockstep.fun == winner.fun
+        assert lockstep.history == winner.history
+        assert lockstep.evaluations == sum(r.evaluations for r in singles)
+        for single in singles:
+            assert single.restart_bests == [single.fun]
+
+    def test_restarts_stall_at_different_generations(self):
+        seeds = restart_seeds(3, STALL_GA.restarts)
+        lengths = {len(ga_minimize(DESIGN_OBJECTIVE, BOUNDS, STALL_GA, [s]).history)
+                   for s in seeds}
+        assert len(lengths) > 5 and max(lengths) - 1 < STALL_GA.generations
+
+    def test_one_objective_call_per_generation(self):
+        calls = []
+
+        def counting(x):
+            calls.append(len(x))
+            return DESIGN_OBJECTIVE(x)
+
+        seeds = restart_seeds(3, STALL_GA.restarts)
+        generations = [len(ga_minimize(DESIGN_OBJECTIVE, BOUNDS, STALL_GA, [s]).history) - 1
+                       for s in seeds]
+        ga_minimize(counting, BOUNDS, STALL_GA, seeds)
+        assert len(calls) == max(generations) + 1
+        # a stalled restart is no longer evaluated
+        active = [sum(g >= gen for g in generations) for gen in range(max(generations) + 1)]
+        assert calls == [STALL_GA.population * n for n in active]
+
+    def test_prefix_property(self):
+        seeds = restart_seeds(4, STALL_GA.restarts)
+        twenty = ga_minimize(DESIGN_OBJECTIVE, BOUNDS, STALL_GA, seeds)
+        for k in (1, 5):
+            prefix = ga_minimize(DESIGN_OBJECTIVE, BOUNDS, STALL_GA, seeds[:k])
+            assert twenty.restart_bests[:k] == prefix.restart_bests
+
+    def test_tie_goes_to_lowest_index(self):
+        flat = lambda x: np.zeros(len(x))
+        config = GaConfig(population=10, generations=20, elite_count=2, stall_generations=3)
+        seeds = restart_seeds(0, 4)
+        result = ga_minimize(flat, BOUNDS, config, seeds)
+        first = ga_minimize(flat, BOUNDS, config, seeds[:1])
+        assert result.restart_bests == [0.0] * 4
+        assert np.array_equal(result.x, first.x)
+        assert not np.array_equal(
+            result.x, ga_minimize(flat, BOUNDS, config, seeds[1:2]).x
+        )
+
+    @pytest.mark.parametrize("seeds", [0, (0, 2, 1), []])
+    def test_seeds_must_be_a_list(self, seeds):
+        with pytest.raises(TypeError):
+            ga_minimize(sphere, BOUNDS, QUICK_GA, seeds)
 
 
 class TestSaMinimize:
@@ -172,14 +247,14 @@ class TestSaMinimize:
 
 class TestMultiRestart:
     def test_single_restart_equals_sub_seed_zero(self):
-        runner = lambda s: ga_minimize(sphere, BOUNDS, QUICK_GA, s)
+        runner = lambda s: ga_minimize(sphere, BOUNDS, QUICK_GA, [s])
         driver = multi_restart_best(runner, 1, 21)
-        direct = ga_minimize(sphere, BOUNDS, QUICK_GA, seed_path(21, STREAM_RESTART, 0))
+        direct = ga_minimize(sphere, BOUNDS, QUICK_GA, [seed_path(21, STREAM_RESTART, 0)])
         assert np.array_equal(driver.x, direct.x)
         assert driver.fun == direct.fun
 
     def test_minimum_of_restart_bests(self):
-        runner = lambda s: ga_minimize(sphere, BOUNDS, QUICK_GA, s)
+        runner = lambda s: ga_minimize(sphere, BOUNDS, QUICK_GA, [s])
         result = multi_restart_best(runner, 8, 13)
         assert len(result.restart_bests) == 8
         assert result.fun == min(result.restart_bests)
