@@ -68,6 +68,13 @@ class StudyError(RuntimeError):
     def __init__(self, scenario_id: int, cause: BaseException):
         super().__init__(f"scenario {scenario_id} failed: {cause}")
         self.scenario_id = scenario_id
+        self.cause = cause
+
+    def __reduce__(self):
+        # Rebuild from the constructor's arguments: the default pickling of
+        # an exception passes only the message, so a StudyError raised in a
+        # pool worker would not unpickle in the parent.
+        return type(self), (self.scenario_id, self.cause)
 
 
 @dataclass(frozen=True)

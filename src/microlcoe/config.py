@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -67,8 +68,8 @@ class StudyConfig:
             object.__setattr__(
                 self, "uncertain", tuple(default_uncertain_parameters(self.costs))
             )
-        if self.penalty_weight < 0.0:
-            raise ConfigError("penalty_weight must be >= 0")
+        if not 0.0 <= self.penalty_weight < math.inf:
+            raise ConfigError("penalty_weight must be finite and >= 0")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         if self.seed < 0:
@@ -118,9 +119,30 @@ def _reject_unknown(mapping: dict, allowed, path: str) -> None:
         raise ConfigError(f"unknown key {path}.{unknown[0]}" if path else f"unknown key {unknown[0]}")
 
 
+class _JsonConstant:
+    """A NaN, Infinity or -Infinity literal read from a config file.
+
+    ``json`` accepts these non-standard literals. Kept as their own type
+    instead of floats, they match no field type, so every field rejects
+    them with its dotted path.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __str__(self) -> str:
+        return self.text
+
+
 def _number(value, path: str) -> float:
+    if isinstance(value, _JsonConstant):
+        raise ConfigError(f"{path} must be a finite number, not {value}")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path} must be a number")
+    if not math.isfinite(value):
+        raise ConfigError(f"{path} must be a finite number, not {value}")
     return float(value)
 
 
@@ -298,7 +320,7 @@ def load_config(path: Optional[str]) -> StudyConfig:
         return StudyConfig()
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            data = json.load(handle, parse_constant=_JsonConstant)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

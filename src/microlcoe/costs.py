@@ -138,18 +138,22 @@ class FinancialParams:
     inflation_mode: str = "real"
 
     def __post_init__(self):
-        if self.r < 0.0 or not np.isfinite(self.r):
-            raise ValueError("discount rate r must be >= 0")
-        if self.infl < 0.0:
-            raise ValueError("inflation rate must be >= 0")
-        if self.lt <= 0.0:
-            raise ValueError("lifetime must be positive")
+        # Written as `not (ok)` so that NaN, which fails every comparison,
+        # is rejected too.
+        if not 0.0 <= self.r < np.inf:
+            raise ValueError("discount rate r must be finite and >= 0")
+        if not 0.0 <= self.infl < np.inf:
+            raise ValueError("inflation rate must be finite and >= 0")
+        if not 0.0 < self.lt < np.inf:
+            raise ValueError("lifetime must be finite and positive")
+        if not 0.0 <= self.ptc_rate < np.inf:
+            raise ValueError("PTC rate must be finite and >= 0")
         if not 0.0 < self.cf_base <= 1.0:
             raise ValueError("cf_base must lie in (0, 1]")
         if not 0.0 < self.eta < 1.0:
             raise ValueError("efficiency must lie in (0, 1)")
-        if self.t_ptc > self.lt:
-            raise ValueError("PTC duration t_ptc cannot exceed the lifetime")
+        if not 0.0 < self.t_ptc <= self.lt:
+            raise ValueError("PTC duration t_ptc must be positive and cannot exceed the lifetime")
         # Feed must sit above any admissible tails assay and below any
         # admissible product assay or the cascade ratios lose meaning.
         if not DESIGN_BOUNDS["x_t"][1] < self.x_f < DESIGN_BOUNDS["x_p"][0]:
@@ -158,8 +162,8 @@ class FinancialParams:
             )
         if not 0.0 <= self.loss < 1.0:
             raise ValueError("conversion loss must lie in [0, 1)")
-        if self.t_down < 0.0:
-            raise ValueError("downtime must be >= 0")
+        if not 0.0 <= self.t_down < np.inf:
+            raise ValueError("downtime must be finite and >= 0")
         if self.inflation_mode not in INFLATION_MODES:
             raise ValueError(f"inflation_mode must be one of {INFLATION_MODES}")
 

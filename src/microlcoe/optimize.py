@@ -80,7 +80,7 @@ class GaConfig:
         for name in ("crossover_rate", "mutation_rate"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if self.mutation_scale < 0.0:
+        if not self.mutation_scale >= 0.0:
             raise ValueError("mutation_scale must be >= 0")
         if not 0 <= self.elite_count < self.population:
             raise ValueError("elite_count must be smaller than the population")
@@ -100,13 +100,13 @@ class SaConfig:
     restarts: int = 5
 
     def __post_init__(self):
-        if self.initial_temp <= 0.0:
+        if not self.initial_temp > 0.0:
             raise ValueError("initial_temp must be positive")
         if not 0.0 < self.cooling_rate < 1.0:
             raise ValueError("cooling_rate must lie in (0, 1)")
         if self.steps < 0 or self.moves_per_step < 1:
             raise ValueError("steps must be >= 0 and moves_per_step >= 1")
-        if self.step_scale <= 0.0:
+        if not self.step_scale > 0.0:
             raise ValueError("step_scale must be positive")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
@@ -152,8 +152,8 @@ def penalized_objective(
     only the burnup relation needs penalizing. With ``penalty_weight`` zero
     this is exactly the levelized cost.
     """
-    if penalty_weight < 0.0:
-        raise ValueError("penalty_weight must be >= 0")
+    if not 0.0 <= penalty_weight < np.inf:
+        raise ValueError("penalty_weight must be finite and >= 0")
     total = lcoe_breakdown(design, costs, fin).total
     cf = effective_capacity_factor(fin, design.t_refuel)
     residual = burnup_residual(design.x_p, design.db, design.t_refuel, cf)
@@ -171,8 +171,8 @@ def make_design_objective(
     evaluated through the shared arithmetic core, which keeps population
     evaluation cheap without loosening the in-bounds contract.
     """
-    if penalty_weight < 0.0:
-        raise ValueError("penalty_weight must be >= 0")
+    if not 0.0 <= penalty_weight < np.inf:
+        raise ValueError("penalty_weight must be finite and >= 0")
     low, high = bounds_arrays()
 
     def objective(x: np.ndarray) -> np.ndarray:

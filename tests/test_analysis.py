@@ -4,6 +4,7 @@ sweeps, ranking, and the delimited outputs (including byte determinism)."""
 import csv
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -137,6 +138,13 @@ class TestRunStudy:
         with pytest.raises(StudyError) as excinfo:
             run_uncertainty_study("occ", n=4, seed=1, ga_config=LIGHT_GA)
         assert excinfo.value.scenario_id == 2
+
+    def test_study_error_survives_pickling(self):
+        error = pickle.loads(pickle.dumps(StudyError(7, RuntimeError("synthetic failure"))))
+        assert isinstance(error, StudyError)
+        assert error.scenario_id == 7
+        assert str(error) == "scenario 7 failed: synthetic failure"
+        assert str(error.cause) == "synthetic failure"
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):

@@ -18,6 +18,7 @@ from microlcoe.config import (
     resolved_dict,
 )
 from microlcoe.costs import LB_U3O8_PER_KG_U
+from microlcoe.uncertainty import generate_study
 
 LIGHT_SOLVERS = {
     "ga": {"population": 30, "generations": 40, "stall_generations": 20, "restarts": 2},
@@ -151,6 +152,36 @@ class TestStrictParsing:
         with pytest.raises(ConfigError, match="line"):
             load_config(str(path))
 
+    @pytest.mark.parametrize(
+        "text,path",
+        [
+            ('{"financial": {"downtime_years": NaN}}', "financial.downtime_years"),
+            ('{"financial": {"lifetime_years": Infinity}}', "financial.lifetime_years"),
+            ('{"costs": {"occ": -Infinity}}', "costs.occ"),
+            ('{"uncertainty": {"occ": {"max": Infinity}}}', "uncertainty.occ.max"),
+            ('{"ga": {"mutation_scale": NaN}}', "ga.mutation_scale"),
+            ('{"penalty_weight": NaN}', "penalty_weight"),
+            ('{"benchmarks": [{"name": "x", "lcoe": NaN}]}', "benchmarks[0].lcoe"),
+            ('{"notes": NaN}', "notes"),
+        ],
+    )
+    def test_non_finite_literals_rejected_with_path(self, tmp_path, text, path):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        with pytest.raises(ConfigError, match=path.replace("[", "\\[").replace("]", "\\]")):
+            load_config(str(config))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_numbers_rejected_with_path(self, value):
+        with pytest.raises(ConfigError, match="financial.downtime_years"):
+            parse_config({"financial": {"downtime_years": value}})
+        with pytest.raises(ConfigError, match="costs.c_swu"):
+            parse_config({"costs": {"c_swu": value}})
+
+    def test_nan_penalty_weight_rejected(self):
+        with pytest.raises(ConfigError, match="penalty_weight"):
+            StudyConfig(penalty_weight=float("nan"))
+
     def test_config_hash_tracks_content(self):
         assert config_hash(parse_config({})) == config_hash(StudyConfig())
         assert config_hash(parse_config({"seed": 9})) != config_hash(StudyConfig())
@@ -205,6 +236,31 @@ class TestCliCommands:
              "--out", str(tmp_path / "o")]
         )
         assert code == 2
+
+    def test_non_finite_config_exits_2_with_path(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"financial": {"downtime_years": NaN}}')
+        code = main(["optimize", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "financial.downtime_years" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_failing_scenario_exits_3_with_its_id(self, tmp_path, capsys, threads):
+        # an overnight cost of 1e306 $/kW overflows the capital charge, so
+        # exactly the scenarios that draw it fail
+        payload = dict(LIGHT_SOLVERS)
+        payload["uncertainty"] = {"occ": {"min": 3000.0, "max": 1e306, "grid_points": 2}}
+        config = parse_config(payload)
+        scenarios = generate_study(config.uncertain, "occ", n=4, seed=3, base=config.costs)
+        failing = [s.id for s in scenarios if s.costs.occ == 1e306]
+        assert failing and failing[0] > 0
+        code = main(
+            ["study", "--config", write_config(tmp_path, payload), "--mode", "occ",
+             "--n", "4", "--seed", "3", "--threads", threads, "--out", str(tmp_path / "o")]
+        )
+        assert code == 3
+        assert f"scenario {failing[0]} failed" in capsys.readouterr().err
 
     def test_optimize_with_sa_validation(self, tmp_path, capsys):
         path = write_config(tmp_path, LIGHT_SOLVERS)

@@ -178,6 +178,27 @@ class TestPtcCredit:
             FinancialParams(t_ptc=25.0, lt=20.0)
 
 
+class TestFinancialParamsValidation:
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("r", float("nan")),
+            ("infl", float("nan")), ("infl", float("inf")), ("infl", -0.01),
+            ("lt", float("nan")), ("lt", float("inf")), ("lt", 0.0),
+            ("t_ptc", float("nan")), ("t_ptc", 0.0), ("t_ptc", -1.0),
+            ("t_down", float("nan")), ("t_down", float("inf")), ("t_down", -0.1),
+            ("ptc_rate", float("nan")), ("ptc_rate", float("inf")), ("ptc_rate", -1.0),
+        ],
+    )
+    def test_rejects_non_finite_and_out_of_range(self, field, value):
+        with pytest.raises(ValueError):
+            replace(DEFAULT_FINANCE, **{field: value})
+
+    def test_zero_credit_and_downtime_allowed(self):
+        fin = replace(DEFAULT_FINANCE, ptc_rate=0.0, t_down=0.0, infl=0.0)
+        assert ptc_credit_per_mwh(fin) == 0.0
+
+
 class TestLcoeBreakdown:
     def test_base_case_components(self):
         bd = lcoe_breakdown(BASE_DESIGN, DEFAULT_COSTS, FLAT_CF)

@@ -14,6 +14,7 @@ from microlcoe.costs import (
     lcoe_breakdown,
 )
 from microlcoe.optimize import (
+    STALL_IMPROVEMENT,
     EvaluationError,
     GaConfig,
     SaConfig,
@@ -24,7 +25,7 @@ from microlcoe.optimize import (
     penalized_objective,
     sa_minimize,
 )
-from microlcoe.rng import STREAM_RESTART, seed_path
+from microlcoe.rng import STREAM_RESTART, make_rng, seed_path
 
 BOUNDS = bounds_arrays()
 CENTER = (BOUNDS[0] + BOUNDS[1]) / 2.0
@@ -53,6 +54,7 @@ class TestConfigs:
             {"elite_count": 100},
             {"restarts": 0},
             {"stall_generations": 0},
+            {"mutation_scale": float("nan")},
         ],
     )
     def test_ga_validation(self, kwargs):
@@ -67,6 +69,8 @@ class TestConfigs:
             {"cooling_rate": 0.0},
             {"moves_per_step": 0},
             {"step_scale": 0.0},
+            {"step_scale": float("nan")},
+            {"initial_temp": float("nan")},
             {"restarts": 0},
         ],
     )
@@ -89,6 +93,13 @@ class TestPenalizedObjective:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             penalized_objective(BASE_DESIGN, DEFAULT_COSTS, DEFAULT_FINANCE, -1.0)
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(ValueError):
+            penalized_objective(BASE_DESIGN, DEFAULT_COSTS, DEFAULT_FINANCE, weight)
+        with pytest.raises(ValueError):
+            make_design_objective(DEFAULT_COSTS, DEFAULT_FINANCE, weight)
 
     def test_weight_scales_quadratically(self):
         base = lcoe_breakdown(BASE_DESIGN, DEFAULT_COSTS, FLAT_CF).total
@@ -150,25 +161,69 @@ def restart_seeds(seed, count):
     return [seed_path(seed, STREAM_RESTART, i) for i in range(count)]
 
 
+def serial_ga(objective, bounds, config, seed):
+    """Reference: one GA run on its own, one objective call per generation
+    on its own population, with the draws in the order ga_minimize keeps.
+    Returns (x, fun, evaluations, history)."""
+    rng = make_rng(seed)
+    low, high = bounds
+    span = high - low
+    pop, ndim = config.population, low.size
+    x = low + rng.random((pop, ndim)) * span
+    values = objective(x)
+    best_x, best_fun = x[np.argmin(values)].copy(), float(values.min())
+    history, stall = [best_fun], 0
+    n_children = pop - config.elite_count
+    for _ in range(config.generations):
+        spread = float(values.max() - values.min())
+        eps = 1e-9 * spread if spread > 0.0 else 1.0
+        cumulative = np.cumsum((values.max() - values) + eps)
+        draws = rng.random(2 * n_children) * cumulative[-1]
+        parent_idx = np.minimum(np.searchsorted(cumulative, draws, side="right"), pop - 1)
+        mothers, fathers = x[parent_idx[:n_children]], x[parent_idx[n_children:]]
+        cross = rng.random((n_children, ndim)) < config.crossover_rate
+        blend = rng.random((n_children, ndim))
+        children = np.where(cross, blend * mothers + (1.0 - blend) * fathers, mothers)
+        mutate = rng.random((n_children, ndim)) < config.mutation_rate
+        noise = rng.normal(0.0, 1.0, (n_children, ndim)) * (config.mutation_scale * span)
+        children = np.clip(children + mutate * noise, low, high)
+        elite_idx = np.argsort(values, kind="stable")[: config.elite_count]
+        x = np.concatenate([x[elite_idx], children])
+        values = objective(x)
+        gen_best = int(np.argmin(values))
+        stall = 0 if best_fun - values[gen_best] > STALL_IMPROVEMENT else stall + 1
+        if values[gen_best] < best_fun:
+            best_fun, best_x = float(values[gen_best]), x[gen_best].copy()
+        history.append(best_fun)
+        if stall >= config.stall_generations:
+            break
+    return best_x, best_fun, pop * len(history), history
+
+
 class TestLockstepGa:
     @pytest.mark.parametrize(
         "objective,config,seed",
         [(sphere, QUICK_GA, 0), (DESIGN_OBJECTIVE, GaConfig(restarts=4), 7),
-         (DESIGN_OBJECTIVE, STALL_GA, 3)],
+         (DESIGN_OBJECTIVE, STALL_GA, 3),
+         (DESIGN_OBJECTIVE, GaConfig(population=12, elite_count=0, stall_generations=3,
+                                     restarts=7), 0)],
     )
-    def test_equals_single_seed_runs(self, objective, config, seed):
+    def test_equals_serial_runs(self, objective, config, seed):
         seeds = restart_seeds(seed, config.restarts)
         lockstep = ga_minimize(objective, BOUNDS, config, seeds)
-        singles = [ga_minimize(objective, BOUNDS, config, [s]) for s in seeds]
-        funs = [r.fun for r in singles]
-        winner = singles[funs.index(min(funs))]
+        serial = [serial_ga(objective, BOUNDS, config, s) for s in seeds]
+        funs = [fun for _, fun, _, _ in serial]
+        best_x, best_fun, _, best_history = serial[funs.index(min(funs))]
         assert lockstep.restart_bests == funs
-        assert np.array_equal(lockstep.x, winner.x)
-        assert lockstep.fun == winner.fun
-        assert lockstep.history == winner.history
-        assert lockstep.evaluations == sum(r.evaluations for r in singles)
-        for single in singles:
-            assert single.restart_bests == [single.fun]
+        assert np.array_equal(lockstep.x, best_x)
+        assert lockstep.fun == best_fun
+        assert lockstep.history == best_history
+        assert lockstep.evaluations == sum(evals for _, _, evals, _ in serial)
+        for s, (x, fun, evals, history) in zip(seeds, serial):
+            single = ga_minimize(objective, BOUNDS, config, [s])
+            assert np.array_equal(single.x, x)
+            assert (single.fun, single.evaluations, single.history) == (fun, evals, history)
+            assert single.restart_bests == [fun]
 
     def test_restarts_stall_at_different_generations(self):
         seeds = restart_seeds(3, STALL_GA.restarts)
