@@ -211,7 +211,7 @@ def ga_minimize(
     objective: Callable[[np.ndarray], np.ndarray],
     bounds: tuple[np.ndarray, np.ndarray],
     config: GaConfig,
-    seeds: list,
+    seeds: list[SeedLike],
 ) -> MinimizeResult:
     """Genetic-algorithm runs, one per seed in ``seeds``, advanced in lockstep:
     roulette selection on shifted fitness, per-gene blend crossover, clamped

@@ -194,10 +194,6 @@ class TestFinancialParamsValidation:
         with pytest.raises(ValueError):
             replace(DEFAULT_FINANCE, **{field: value})
 
-    def test_zero_credit_and_downtime_allowed(self):
-        fin = replace(DEFAULT_FINANCE, ptc_rate=0.0, t_down=0.0, infl=0.0)
-        assert ptc_credit_per_mwh(fin) == 0.0
-
 
 class TestLcoeBreakdown:
     def test_base_case_components(self):
