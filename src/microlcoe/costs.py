@@ -9,6 +9,7 @@ breakdown of arrays. Discount rates are plain fractions (0.05, not 5).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -55,6 +56,7 @@ __all__ = [
     "annualized_fuel",
     "annualized_decommissioning",
     "ptc_credit_per_mwh",
+    "compile_lcoe",
     "lcoe_terms",
     "lcoe_breakdown",
 ]
@@ -199,7 +201,6 @@ class LcoeBreakdown:
     ptc_credit: float
     total: float
     annual_energy: float  # MWh/yr
-    penalty: float = 0.0  # $/MWh-equivalent, nonzero only inside the optimizer
 
     def __post_init__(self):
         recomputed = (
@@ -378,31 +379,61 @@ def _escalation_factor(fin: FinancialParams) -> float:
     return _crf_raw(fin.nominal_rate, fin.lt) / _crf_raw(fin.r, fin.lt)
 
 
+def compile_lcoe(costs: CostInputs, fin: FinancialParams) -> Callable[..., tuple]:
+    """The levelized-cost chain for one ``(costs, fin)`` pair, compiled once.
+
+    Everything that depends only on ``(costs, fin)`` is computed here: the
+    production tax credit, the lifetime CRF and SFF, the escalation factor,
+    the fixed O&M, the spent-fuel charge and the feed's separative potential.
+    The returned function maps the design columns ``(p_elec, x_p, x_t,
+    t_refuel, db)``, scalars or equal-length arrays, to ``(capital, om, fuel,
+    spent, decommissioning, ptc_credit, total, annual_energy,
+    burnup_residual)``; the capacity factor, specific power and feed ratio
+    are computed once per call and shared by the cost terms and the burnup
+    residual. Like the ``*_raw`` kernels it assumes in-box designs: go
+    through :class:`ReactorDesign` (or check the design box) first.
+    """
+    credit = ptc_credit_per_mwh(fin)
+    scale = _escalation_factor(fin)
+    r, eta, x_f = fin.r, fin.eta, fin.x_f
+    crf_life = _crf_raw(r, fin.lt)
+    sff_life = _sff_raw(r, fin.lt)
+    fixed_om = costs.n_fte * costs.s_fte + costs.fom
+    spent = scale * costs.c_spent
+    value_feed = fuelcycle._value_raw(x_f / 100.0)
+
+    def terms(p_elec, x_p, x_t, t_refuel, db) -> tuple:
+        cf = _cf_raw(fin, t_refuel)
+        sp = fuelcycle._sp_raw(db, t_refuel, cf)
+        residual = fuelcycle._burnup_residual_raw(x_p, db, t_refuel, sp)
+        m_p = 1000.0 * p_elec / (eta * sp)
+        feed_ratio = fuelcycle._feed_ratio_raw(x_p, x_t, x_f)
+        m_f = feed_ratio * m_p
+        swu = fuelcycle._swu_raw(x_p, x_t, feed_ratio, value_feed)
+        uranium, conversion, enrichment, fabrication = _fuel_terms(m_p, m_f, swu, costs, fin.loss)
+        batch_total = uranium + conversion + enrichment + fabrication
+        energy = p_elec * HOURS_PER_YEAR * cf
+        capital = scale * (costs.occ * p_elec * 1000.0 * crf_life) / energy
+        om = scale * (fixed_om + costs.vom * energy) / energy
+        fuel = scale * (batch_total * _crf_raw(r, t_refuel)) / energy
+        decommissioning = scale * (costs.c_dec * p_elec * 1000.0 * sff_life) / energy
+        total = capital + om + fuel + spent + decommissioning - credit
+        return capital, om, fuel, spent, decommissioning, credit, total, energy, residual
+
+    return terms
+
+
 def lcoe_terms(p_elec, x_p, x_t, t_refuel, db, costs: CostInputs, fin: FinancialParams) -> tuple:
-    """Shared arithmetic core of the levelized cost.
+    """Levelized-cost terms of the design coordinates, through :func:`compile_lcoe`.
 
     Returns ``(capital, om, fuel, spent, decommissioning, ptc_credit, total,
     annual_energy)`` elementwise for scalar or array design coordinates.
-    Assumes in-domain inputs; go through :class:`ReactorDesign` (or check the
-    design box yourself) before calling.
+    Compiles the chain on every call; callers that evaluate many designs
+    under one ``(costs, fin)`` compile it once themselves. Assumes in-domain
+    inputs; go through :class:`ReactorDesign` (or check the design box
+    yourself) before calling.
     """
-    cf = _cf_raw(fin, t_refuel)
-    sp = fuelcycle._sp_raw(db, t_refuel, cf)
-    m_p = 1000.0 * p_elec / (fin.eta * sp)
-    m_f = (x_p - x_t) / (fin.x_f - x_t) * m_p
-    swu = fuelcycle._swu_raw(x_p, x_t, fin.x_f)
-    uranium, conversion, enrichment, fabrication = _fuel_terms(m_p, m_f, swu, costs, fin.loss)
-    batch_total = uranium + conversion + enrichment + fabrication
-    energy = p_elec * HOURS_PER_YEAR * cf
-    scale = _escalation_factor(fin)
-    capital = scale * (costs.occ * p_elec * 1000.0 * _crf_raw(fin.r, fin.lt)) / energy
-    om = scale * (costs.n_fte * costs.s_fte + costs.fom + costs.vom * energy) / energy
-    fuel = scale * (batch_total * _crf_raw(fin.r, t_refuel)) / energy
-    spent = scale * costs.c_spent
-    decommissioning = scale * (costs.c_dec * p_elec * 1000.0 * _sff_raw(fin.r, fin.lt)) / energy
-    credit = ptc_credit_per_mwh(fin)
-    total = capital + om + fuel + spent + decommissioning - credit
-    return capital, om, fuel, spent, decommissioning, credit, total, energy
+    return compile_lcoe(costs, fin)(p_elec, x_p, x_t, t_refuel, db)[:8]
 
 
 def lcoe_breakdown(design: ReactorDesign, costs: CostInputs, fin: FinancialParams) -> LcoeBreakdown:

@@ -97,8 +97,11 @@ class CoreParams:
 
 
 # The *_raw kernels below carry the arithmetic without domain checks; the
-# public wrappers own validation. The optimizer hot path proves its inputs
-# in-box once per call and then goes straight to the kernels.
+# public wrappers own validation. The compiled cost chain
+# (microlcoe.costs.compile_lcoe) calls the kernels directly on designs already
+# proven in-box, by ReactorDesign or by the objective's box check, and shares
+# the specific power, the feed ratio and the feed's separative potential
+# between them instead of recomputing each per kernel.
 
 
 def _value_raw(x):
@@ -109,17 +112,20 @@ def _sp_raw(db, t_refuel, cf):
     return 1000.0 * db / (t_refuel * cf * DAYS_PER_YEAR)
 
 
-def _swu_raw(x_p, x_t, x_f):
-    feed_ratio = (x_p - x_t) / (x_f - x_t)
+def _feed_ratio_raw(x_p, x_t, x_f):
+    return (x_p - x_t) / (x_f - x_t)
+
+
+def _swu_raw(x_p, x_t, feed_ratio, value_feed):
     return (
         _value_raw(x_p / 100.0)
         + (feed_ratio - 1.0) * _value_raw(x_t / 100.0)
-        - feed_ratio * _value_raw(x_f / 100.0)
+        - feed_ratio * value_feed
     )
 
 
-def _burnup_residual_raw(x_p, db, t_refuel, cf):
-    return db - 14.8 * x_p + _sp_raw(db, t_refuel, cf) * DAYS_PER_YEAR * t_refuel / 1000.0
+def _burnup_residual_raw(x_p, db, t_refuel, sp):
+    return db - 14.8 * x_p + sp * DAYS_PER_YEAR * t_refuel / 1000.0
 
 
 def value_function(x):
@@ -180,7 +186,8 @@ def swu_per_kg_product(assays: EnrichmentAssays):
     Zero when the feed is already at product assay, strictly positive
     otherwise.
     """
-    return _swu_raw(assays.x_p, assays.x_t, assays.x_f)
+    feed_ratio = _feed_ratio_raw(assays.x_p, assays.x_t, assays.x_f)
+    return _swu_raw(assays.x_p, assays.x_t, feed_ratio, _value_raw(assays.x_f / 100.0))
 
 
 def mass_balance_residual(assays: EnrichmentAssays, flows: MassFlows):
@@ -202,8 +209,7 @@ def burnup_residual(x_p, db, t_refuel, cf):
     independent of ``t_refuel`` on its own; the interval enters only through
     a cycle-dependent capacity factor.
     """
-    sp = specific_power(db, t_refuel, cf)
-    return db - 14.8 * x_p + sp * DAYS_PER_YEAR * t_refuel / 1000.0
+    return _burnup_residual_raw(x_p, db, t_refuel, specific_power(db, t_refuel, cf))
 
 
 def core_params(db, t_refuel, cf) -> CoreParams:

@@ -29,9 +29,10 @@ from .costs import (
     LcoeBreakdown,
     ReactorDesign,
     bounds_arrays,
+    compile_lcoe,
     effective_capacity_factor,
     lcoe_breakdown,
-    lcoe_terms,
+    lcoe_terms,  # noqa: F401 -- unused here; bench/tracer.py wraps optimize.lcoe_terms
 )
 from .fuelcycle import burnup_residual
 from .rng import STREAM_RESTART, SeedLike, make_rng, seed_path
@@ -154,9 +155,10 @@ def penalized_objective(
     """
     if not 0.0 <= penalty_weight < np.inf:
         raise ValueError("penalty_weight must be finite and >= 0")
-    total = lcoe_breakdown(design, costs, fin).total
-    cf = effective_capacity_factor(fin, design.t_refuel)
-    residual = burnup_residual(design.x_p, design.db, design.t_refuel, cf)
+    terms = compile_lcoe(costs, fin)(
+        design.p_elec, design.x_p, design.x_t, design.t_refuel, design.db
+    )
+    total, residual = terms[6], terms[8]
     return total + penalty_weight * residual * residual
 
 
@@ -167,25 +169,27 @@ def make_design_objective(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Objective over (n, 5) design matrices, suitable for both solvers.
 
-    The matrix is checked against the design box once per call and then
-    evaluated through the shared arithmetic core, which keeps population
-    evaluation cheap without loosening the in-bounds contract.
+    The cost chain is compiled once here (:func:`microlcoe.costs.compile_lcoe`).
+    Each call checks the matrix's shape and design box once, then goes
+    straight to the compiled chain. A one-row call (every SA move) passes
+    the row as Python floats, which skips numpy's per-operation overhead;
+    the operations and their order are the same, so the values are
+    bit-identical to the same row inside a larger matrix.
     """
     if not 0.0 <= penalty_weight < np.inf:
         raise ValueError("penalty_weight must be finite and >= 0")
     low, high = bounds_arrays()
+    terms = compile_lcoe(costs, fin)
 
     def objective(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != len(DESIGN_FIELDS):
             raise ValueError(f"expected an (n, {len(DESIGN_FIELDS)}) design matrix")
-        if not np.all((x >= low) & (x <= high)):
+        if not ((x >= low) & (x <= high)).all():
             raise ValueError("design matrix leaves the search box")
-        p_elec, x_p, x_t, t_refuel, db = (x[:, j] for j in range(len(DESIGN_FIELDS)))
-        total = lcoe_terms(p_elec, x_p, x_t, t_refuel, db, costs, fin)[6]
-        cf = effective_capacity_factor(fin, t_refuel)
-        residual = burnup_residual(x_p, db, t_refuel, cf)
-        return total + penalty_weight * residual * residual
+        values = terms(*(x[0].tolist() if len(x) == 1 else x.T))
+        total, residual = values[6], values[8]
+        return np.atleast_1d(total + penalty_weight * residual * residual)
 
     return objective
 

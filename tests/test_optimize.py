@@ -1,17 +1,32 @@
 """Solver behavior on a known-optimum objective, determinism and restart
 contracts, bounds containment, and the penalized objective arithmetic."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import microlcoe.costs
 from microlcoe.costs import (
     DEFAULT_COSTS,
     DEFAULT_FINANCE,
+    HOURS_PER_YEAR,
     ReactorDesign,
     bounds_arrays,
+    capital_recovery_factor,
+    compile_lcoe,
+    effective_capacity_factor,
     lcoe_breakdown,
+    lcoe_terms,
+    ptc_credit_per_mwh,
+    sinking_fund_factor,
+)
+from microlcoe.fuelcycle import (
+    EnrichmentAssays,
+    burnup_residual,
+    specific_power,
+    swu_per_kg_product,
 )
 from microlcoe.optimize import (
     STALL_IMPROVEMENT,
@@ -26,6 +41,7 @@ from microlcoe.optimize import (
     sa_minimize,
 )
 from microlcoe.rng import STREAM_RESTART, make_rng, seed_path
+from microlcoe.uncertainty import default_uncertain_parameters, generate_study
 
 BOUNDS = bounds_arrays()
 CENTER = (BOUNDS[0] + BOUNDS[1]) / 2.0
@@ -383,3 +399,148 @@ class TestDesignObjective:
         objective = make_design_objective(DEFAULT_COSTS, DEFAULT_FINANCE)
         with pytest.raises(ValueError):
             objective(np.ones(5))
+
+
+FINANCE_VARIANTS = {
+    "stock": DEFAULT_FINANCE,
+    "escalated": replace(DEFAULT_FINANCE, inflation_mode="escalated"),
+    "downtime_off": FLAT_CF,
+    "zero_downtime": replace(DEFAULT_FINANCE, t_down=0.0),
+    "zero_rate": replace(DEFAULT_FINANCE, r=0.0),
+}
+STUDY_COSTS = [
+    s.costs for s in generate_study(
+        default_uncertain_parameters(DEFAULT_COSTS), "all", n=10, seed=1, base=DEFAULT_COSTS)
+]
+# (costs, fin) problems: every financing variant at the stock costs, and
+# every sampled cost set at the stock financing
+PROBLEMS = [pytest.param(DEFAULT_COSTS, fin, id=name) for name, fin in FINANCE_VARIANTS.items()]
+PROBLEMS += [pytest.param(costs, DEFAULT_FINANCE, id=f"study{i}")
+             for i, costs in enumerate(STUDY_COSTS)]
+
+
+def corner_and_random_designs(count, seed):
+    corners = np.stack(np.meshgrid(*zip(*BOUNDS), indexing="ij"), axis=-1).reshape(-1, 5)
+    rng = np.random.default_rng(seed)
+    return np.vstack([corners, BOUNDS[0] + rng.random((count, 5)) * SPAN])
+
+
+def uncompiled_objective(x, costs, fin, weight):
+    """The penalized objective as the cost chain computed it before it was
+    compiled: every (costs, fin) term recomputed on each call, through the
+    checked public functions, in the same operation order."""
+    p_elec, x_p, x_t, t_refuel, db = x.T
+    cf = effective_capacity_factor(fin, t_refuel)
+    sp = specific_power(db, t_refuel, cf)
+    m_p = 1000.0 * p_elec / (fin.eta * sp)
+    m_f = (x_p - x_t) / (fin.x_f - x_t) * m_p
+    swu = swu_per_kg_product(EnrichmentAssays(x_p, x_t, fin.x_f))
+    batch = (costs.c_yc * m_f / (1.0 - fin.loss) + costs.c_conv * m_f
+             + costs.c_swu * swu * m_p + costs.c_fab * m_p)
+    energy = p_elec * HOURS_PER_YEAR * cf
+    scale = 1.0
+    if fin.inflation_mode == "escalated":
+        scale = (capital_recovery_factor(fin.nominal_rate, fin.lt)
+                 / capital_recovery_factor(fin.r, fin.lt))
+    capital = scale * (costs.occ * p_elec * 1000.0 * capital_recovery_factor(fin.r, fin.lt)) / energy
+    om = scale * (costs.n_fte * costs.s_fte + costs.fom + costs.vom * energy) / energy
+    fuel = scale * (batch * capital_recovery_factor(fin.r, t_refuel)) / energy
+    spent = scale * costs.c_spent
+    decommissioning = scale * (
+        costs.c_dec * p_elec * 1000.0 * sinking_fund_factor(fin.r, fin.lt)) / energy
+    total = capital + om + fuel + spent + decommissioning - ptc_credit_per_mwh(fin)
+    residual = burnup_residual(x_p, db, t_refuel, cf)
+    return total + weight * residual * residual
+
+
+def hand_lcoe(p_elec, x_p, x_t, t_refuel, db, costs, fin):
+    """Textbook levelized cost of one design, written out with the math module:
+    the eight breakdown terms and the burnup residual."""
+    def crf(rate, n):
+        return 1.0 / n if rate == 0.0 else rate * (1 + rate) ** n / ((1 + rate) ** n - 1)
+
+    def sff(rate, n):
+        return 1.0 / n if rate == 0.0 else rate / ((1 + rate) ** n - 1)
+
+    def pva(rate, n):
+        return n if rate == 0.0 else ((1 + rate) ** n - 1) / (rate * (1 + rate) ** n)
+
+    def potential(a):
+        return (2 * a - 1) * math.log(a / (1 - a))
+
+    downtime = fin.t_down if fin.downtime_model else 0.0
+    cf = fin.cf_base * t_refuel / (t_refuel + downtime)
+    energy = p_elec * 8760 * cf
+    specific_power = 1000 * db / (t_refuel * cf * 365)
+    m_p = 1000 * p_elec / (fin.eta * specific_power)
+    product, tails, feed = x_p / 100, x_t / 100, fin.x_f / 100
+    m_f = m_p * (product - tails) / (feed - tails)
+    swu = m_p * potential(product) + (m_f - m_p) * potential(tails) - m_f * potential(feed)
+    batch = (costs.c_yc * m_f / (1 - fin.loss) + costs.c_conv * m_f
+             + costs.c_swu * swu + costs.c_fab * m_p)
+    r = fin.r
+    nominal = (1 + r) * (1 + fin.infl) - 1
+    escalated = fin.inflation_mode == "escalated"
+    scale = crf(nominal, fin.lt) / crf(r, fin.lt) if escalated else 1.0
+    capital = scale * costs.occ * p_elec * 1000 * crf(r, fin.lt) / energy
+    om = scale * ((costs.n_fte * costs.s_fte + costs.fom) / energy + costs.vom)
+    fuel = scale * batch * crf(r, t_refuel) / energy
+    spent = scale * costs.c_spent
+    decommissioning = scale * costs.c_dec * p_elec * 1000 * sff(r, fin.lt) / energy
+    credit_rate = nominal if escalated else r
+    credit = fin.ptc_rate * pva(credit_rate, fin.t_ptc) * crf(credit_rate, fin.lt)
+    total = capital + om + fuel + spent + decommissioning - credit
+    residual = db * (1 + 1 / cf) - 14.8 * x_p
+    return capital, om, fuel, spent, decommissioning, credit, total, energy, residual
+
+
+class TestCompiledChain:
+    """The objective runs on a cost chain compiled once per (costs, fin)."""
+
+    @pytest.mark.parametrize("costs, fin", PROBLEMS)
+    def test_bit_identical_to_scalar_path_at_every_call_size(self, costs, fin):
+        x = corner_and_random_designs(5000, seed=11)
+        scalar = np.array([
+            penalized_objective(ReactorDesign.from_array(row), costs, fin, 0.05) for row in x
+        ])
+        objective = make_design_objective(costs, fin, 0.05)
+        assert np.array_equal(objective(x), scalar)
+        assert np.array_equal(uncompiled_objective(x, costs, fin, 0.05), scalar)
+        for size in (1, 5, 100):
+            for start in range(0, 300, size):
+                assert np.array_equal(objective(x[start:start + size]),
+                                      scalar[start:start + size])
+
+    @pytest.mark.parametrize("costs, fin", PROBLEMS)
+    def test_lcoe_terms_match_hand_oracle(self, costs, fin):
+        x = corner_and_random_designs(200, seed=12)
+        expected = np.array([hand_lcoe(*row, costs, fin) for row in x])
+        terms = lcoe_terms(*x.T, costs, fin)
+        residual = compile_lcoe(costs, fin)(*x.T)[8]
+        assert len(terms) == 8
+        for j, got in enumerate((*terms, residual)):
+            np.testing.assert_allclose(np.broadcast_to(got, len(x)), expected[:, j],
+                                       rtol=1e-9, atol=1e-9)
+
+    def test_hand_oracle_reproduces_base_case(self):
+        # the published base-case breakdown, $/MWh, flat capacity factor
+        terms = hand_lcoe(*BASE_DESIGN.as_array(), DEFAULT_COSTS, FLAT_CF)
+        expected = (29.55, 10.09, 13.73, 1.00, 27.84, 15.49, 66.72)
+        assert terms[:7] == pytest.approx(expected, abs=0.05)
+        assert terms[8] == pytest.approx(-11.742, abs=1e-3)
+
+    def test_credit_computed_once_per_objective(self, monkeypatch):
+        calls = []
+        original = microlcoe.costs.ptc_credit_per_mwh
+
+        def counted(fin):
+            calls.append(fin)
+            return original(fin)
+
+        monkeypatch.setattr(microlcoe.costs, "ptc_credit_per_mwh", counted)
+        objective = make_design_objective(DEFAULT_COSTS, DEFAULT_FINANCE)
+        assert len(calls) == 1
+        x = corner_and_random_designs(100, seed=13)
+        for size in (1, 5, len(x)):
+            objective(x[:size])
+        assert len(calls) == 1
