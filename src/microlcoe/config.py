@@ -357,7 +357,14 @@ def resolved_dict(config: StudyConfig) -> dict:
     }
 
 
+# Fields that set where and how fast a run goes, or annotate it, without
+# changing any result.
+_UNHASHED_KEYS = ("threads", "output_dir", "notes")
+
+
 def config_hash(config: StudyConfig) -> str:
-    """SHA-256 of the canonical configuration image."""
-    canonical = json.dumps(resolved_dict(config), sort_keys=True)
+    """SHA-256 of the canonical image of the fields that determine results:
+    everything but the worker count, the output directory and the notes."""
+    image = {k: v for k, v in resolved_dict(config).items() if k not in _UNHASHED_KEYS}
+    canonical = json.dumps(image, sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -185,6 +185,9 @@ class TestStrictParsing:
     def test_config_hash_tracks_content(self):
         assert config_hash(parse_config({})) == config_hash(StudyConfig())
         assert config_hash(parse_config({"seed": 9})) != config_hash(StudyConfig())
+        # fields that change no result leave the hash alone
+        for field in ({"threads": 2}, {"output_dir": "elsewhere"}, {"notes": "rerun"}):
+            assert config_hash(parse_config(field)) == config_hash(StudyConfig())
 
 
 class TestParseDesign:

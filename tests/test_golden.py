@@ -25,7 +25,7 @@ SMALL_CONFIG = {
 
 GOLDEN = {
     "optimize": {
-        "manifest.json": "673732640e4bc2abd4875a7867d4cd7deb6f362777ab2afb5862916cc215fa66",
+        "manifest.json": "d3cd87a0db6b896b7ef8ed7fa4e12a527bca6904e9d46fb82fffda7a1219fd48",
         "optimize.csv": "71391f041f292217e6b7179714d281767e18573c2c8b72b7b55611db445ee2c9",
     },
     "study": {
@@ -33,15 +33,17 @@ GOLDEN = {
         "study_all_stats.csv": "6380e943ad3fbe146cfff77f5c3ae1e6f399a76ba6be6fccd22ba3b66cd1ed99",
     },
     "sweep": {
-        "manifest.json": "a8e67755fa323cd040fb6d8aa806a7f39a5d9863d8eae689ff958ab593b1e9ca",
+        "manifest.json": "f477d5372cf06b3ef280b1b9c49092b3f47145f95a2c800fdb759cf0449070aa",
         "sensitivity_efficiency.csv": "624a0cc704b818e3d8e31a042d1a85570904956cb8f605903f0fbd1061046a44",
     },
 }
-# threads is recorded in argv and in the resolved config, so the study
-# manifest is the one file that differs between worker counts
+# threads is recorded in argv, in the manifest's threads field and in the
+# resolved config, so the study manifest is the one file that differs
+# between worker counts; its config_sha256 leaves threads out and is the
+# same for both
 STUDY_MANIFEST = {
-    "1": "52674d6ac3ed07111ff84f5e7e555a8c5274b678394cc8fd832765f476c99449",
-    "2": "cd7b23bc11d0981a1d1a5374a246eaebe4f672469795b775775bd810829d036b",
+    "1": "1cc7186e6a9d11c38a7ed8c173ca4cf200d293b87da068e4807217ea2b62d24d",
+    "2": "2768368f10a7701bfb113066fc61cf9bad80c127d06193e6a09ae96be477d463",
 }
 
 
