@@ -3,13 +3,14 @@ sensitivity sweeps, technology ranking, and the CSV/manifest outputs.
 
 Scenario optimizations are embarrassingly parallel; every scenario draws its
 generators from ``(seed, scenario_id)``, so the worker count changes wall
-time only, never a byte of output.
+time only, never a byte of the CSVs (the manifest records it).
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -51,6 +52,7 @@ __all__ = [
     "SweepRow",
     "StudyError",
     "summarize_stats",
+    "pool_workers",
     "run_uncertainty_study",
     "sensitivity_sweep",
     "technology_comparison",
@@ -169,6 +171,12 @@ def _scenario_task(args) -> OptimizationResult:
         raise StudyError(scenario.id, exc) from exc
 
 
+def pool_workers(threads: int, n: int) -> int:
+    """Worker processes for ``n`` scenarios under a cap of ``threads``: never
+    more than there are scenarios or CPUs, and at least one."""
+    return max(1, min(threads, n, os.cpu_count() or 1))
+
+
 def run_uncertainty_study(
     mode: str,
     n: int = 100,
@@ -194,8 +202,9 @@ def run_uncertainty_study(
     scenarios = generate_study(params, mode, n=n, seed=seed, base=base_costs)
     tasks = [(s, fin, ga_config, penalty_weight, seed) for s in scenarios]
 
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = pool_workers(threads, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scenario_task, tasks))
     else:
         results = [_scenario_task(t) for t in tasks]

@@ -23,7 +23,13 @@ from .costs import (
     LB_U3O8_PER_KG_U,
 )
 from .optimize import DEFAULT_PENALTY_WEIGHT, GaConfig, SaConfig
-from .uncertainty import PDF_KINDS, Pdf, UncertainParameter, default_uncertain_parameters
+from .uncertainty import (
+    MAX_GRID_POINTS,
+    PDF_KINDS,
+    Pdf,
+    UncertainParameter,
+    default_uncertain_parameters,
+)
 
 __all__ = ["ConfigError", "StudyConfig", "load_config", "resolved_dict", "config_hash"]
 
@@ -228,6 +234,10 @@ def _parse_uncertainty(section: dict, costs: CostInputs) -> tuple:
             if "grid_points" in spec
             else stock.grid_points
         )
+        if not 2 <= grid_points <= MAX_GRID_POINTS:
+            raise ConfigError(
+                f"uncertainty.{name}.grid_points must lie in [2, {MAX_GRID_POINTS}]"
+            )
         try:
             params.append(
                 UncertainParameter(

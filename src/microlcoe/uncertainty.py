@@ -32,10 +32,15 @@ MODE_GROUPS["all"] = MODE_GROUPS["occ"] + MODE_GROUPS["om"] + MODE_GROUPS["fuel"
 
 STUDY_MODES = ("all", "occ", "om", "fuel", "none")
 
+# Finest value grid a parameter may have. Sampling walks the whole grid per
+# draw, so a larger one only costs memory and time.
+MAX_GRID_POINTS = 100_000
+
 __all__ = [
     "PDF_KINDS",
     "MODE_GROUPS",
     "STUDY_MODES",
+    "MAX_GRID_POINTS",
     "Pdf",
     "UncertainParameter",
     "Scenario",
@@ -81,8 +86,8 @@ class UncertainParameter:
     def __post_init__(self):
         if not self.pdf.min <= self.nominal <= self.pdf.max:
             raise ValueError(f"nominal of {self.name} must lie within [min, max]")
-        if self.grid_points < 2:
-            raise ValueError("grid_points must be >= 2")
+        if not 2 <= self.grid_points <= MAX_GRID_POINTS:
+            raise ValueError(f"grid_points must lie in [2, {MAX_GRID_POINTS}]")
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from microlcoe.analysis import (
     BenchmarkTable,
     Stats,
     StudyError,
+    pool_workers,
     ptc_reduction,
     run_uncertainty_study,
     sensitivity_sweep,
@@ -121,6 +122,40 @@ class TestRunStudy:
         serial = run_uncertainty_study("om", n=4, seed=3, ga_config=LIGHT_GA, threads=1)
         parallel = run_uncertainty_study("om", n=4, seed=3, ga_config=LIGHT_GA, threads=2)
         assert serial == parallel
+
+    def test_pool_workers_capped_by_scenarios_and_cpus(self, monkeypatch):
+        monkeypatch.setattr(analysis.os, "cpu_count", lambda: 4)
+        assert pool_workers(1, 100) == 1
+        assert pool_workers(3, 100) == 3
+        assert pool_workers(64, 100) == 4
+        assert pool_workers(64, 2) == 2
+        assert pool_workers(8, 1) == 1
+        monkeypatch.setattr(analysis.os, "cpu_count", lambda: None)
+        assert pool_workers(8, 100) == 1
+
+    def test_study_starts_the_capped_worker_count(self, monkeypatch):
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(analysis.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(analysis, "ProcessPoolExecutor", InProcessPool)
+        pooled = run_uncertainty_study("om", n=3, seed=3, ga_config=LIGHT_GA, threads=64)
+        assert started == [2]
+        run_uncertainty_study("om", n=1, seed=3, ga_config=LIGHT_GA, threads=64)
+        assert started == [2]  # one scenario runs in this process
+        assert pooled == run_uncertainty_study("om", n=3, seed=3, ga_config=LIGHT_GA)
 
     def test_rows_in_id_order(self):
         report = run_uncertainty_study("all", n=5, seed=7, ga_config=LIGHT_GA)

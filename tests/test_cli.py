@@ -247,6 +247,14 @@ class TestCliCommands:
         assert code == 2
         assert "financial.downtime_years" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("points", [1, 100_001])
+    def test_grid_points_out_of_range_exits_2_with_path(self, tmp_path, capsys, points):
+        path = write_config(tmp_path, {"uncertainty": {"c_swu": {"grid_points": points}}})
+        code = main(["study", "--mode", "all", "--config", path, "--n", "2",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "uncertainty.c_swu.grid_points" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_failing_scenario_exits_3_with_its_id(self, tmp_path, capsys, threads):

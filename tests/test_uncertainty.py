@@ -8,6 +8,7 @@ import pytest
 from microlcoe.costs import DEFAULT_COSTS
 from microlcoe.rng import make_rng
 from microlcoe.uncertainty import (
+    MAX_GRID_POINTS,
     MODE_GROUPS,
     Pdf,
     UncertainParameter,
@@ -73,6 +74,12 @@ class TestPdf:
     def test_nominal_outside_support_rejected(self):
         with pytest.raises(ValueError):
             UncertainParameter("occ", Pdf("uniform", 2500.0, 4000.0), 2000.0)
+
+    @pytest.mark.parametrize("points", [1, MAX_GRID_POINTS + 1])
+    def test_grid_points_out_of_range_rejected(self, points):
+        with pytest.raises(ValueError, match="grid_points"):
+            UncertainParameter("occ", OCC.pdf, 3000.0, grid_points=points)
+        assert UncertainParameter("occ", OCC.pdf, 3000.0, grid_points=MAX_GRID_POINTS)
 
 
 class TestParameterGrid:
