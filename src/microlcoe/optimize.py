@@ -17,6 +17,7 @@ to running the restarts one by one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -171,25 +172,35 @@ def make_design_objective(
 
     The cost chain is compiled once here (:func:`microlcoe.costs.compile_lcoe`).
     Each call checks the matrix's shape and design box once, then goes
-    straight to the compiled chain. A one-row call (every SA move) passes
-    the row as Python floats, which skips numpy's per-operation overhead;
-    the operations and their order are the same, so the values are
-    bit-identical to the same row inside a larger matrix.
+    straight to the compiled chain. A one-row call (every SA move) unpacks
+    the row into Python floats, checks them with chained comparisons against
+    the bounds (a NaN or an infinity fails them, as it fails the matrix
+    check) and runs the chain on those floats, which skips numpy's
+    per-operation overhead; the operations and their order are the same, so
+    its value is bit-identical to the same row inside a larger matrix.
     """
     if not 0.0 <= penalty_weight < np.inf:
         raise ValueError("penalty_weight must be finite and >= 0")
     low, high = bounds_arrays()
+    (l0, l1, l2, l3, l4), (h0, h1, h2, h3, h4) = low.tolist(), high.tolist()
     terms = compile_lcoe(costs, fin)
 
     def objective(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != len(DESIGN_FIELDS):
             raise ValueError(f"expected an (n, {len(DESIGN_FIELDS)}) design matrix")
-        if not ((x >= low) & (x <= high)).all():
-            raise ValueError("design matrix leaves the search box")
-        values = terms(*(x[0].tolist() if len(x) == 1 else x.T))
-        total, residual = values[6], values[8]
-        return np.atleast_1d(total + penalty_weight * residual * residual)
+        if len(x) == 1:
+            p, xp, xt, tr, db = x[0].tolist()
+            if (l0 <= p <= h0 and l1 <= xp <= h1 and l2 <= xt <= h2
+                    and l3 <= tr <= h3 and l4 <= db <= h4):
+                values = terms(p, xp, xt, tr, db)
+                total, residual = values[6], values[8]
+                return np.array((total + penalty_weight * residual * residual,))
+        elif ((x >= low) & (x <= high)).all():
+            values = terms(*x.T)
+            total, residual = values[6], values[8]
+            return total + penalty_weight * residual * residual
+        raise ValueError("design matrix leaves the search box")
 
     return objective
 
@@ -285,7 +296,9 @@ def ga_minimize(
 
         mutate = genes[:, 2] < config.mutation_rate
         noise = normals[:n_active] * noise_scale
-        children = np.clip(children + mutate * noise, low, high)
+        children = children + mutate * noise
+        np.maximum(children, low, out=children)
+        np.minimum(children, high, out=children)
 
         elite_idx = np.argsort(values, axis=1, kind="stable")[:, : config.elite_count]
         x = np.concatenate([x[here, elite_idx], children], axis=1)
@@ -334,7 +347,14 @@ def sa_minimize(
     """One simulated-annealing chain with Metropolis acceptance and geometric
     cooling. The proposal width shrinks with the temperature so the late,
     cold phase refines instead of thrashing. ``steps == 0`` degenerates to
-    scoring the random start point."""
+    scoring the random start point.
+
+    Each move draws ``normal(0, 1, ndim)`` and then, only when the proposal
+    is not better, one acceptance uniform. The proposal is built in place in
+    that fresh normal array (scale, shift, clamp to the box), so an accepted
+    proposal never aliases a buffer a later move writes; every move makes one
+    one-row objective call.
+    """
     rng = make_rng(seed)
     low, high = (np.asarray(b, dtype=float) for b in bounds)
     span = high - low
@@ -342,7 +362,7 @@ def sa_minimize(
 
     current = low + rng.random(ndim) * span
     current_fun = float(objective(current[None, :])[0])
-    if not np.isfinite(current_fun):
+    if not math.isfinite(current_fun):
         raise EvaluationError(f"objective is not finite at design {current}", design=current)
     evaluations = 1
     best_x = current.copy()
@@ -355,12 +375,13 @@ def sa_minimize(
         # travel mid-schedule, narrow enough to refine once the chain is cold.
         width = config.step_scale * span * np.sqrt(temperature / config.initial_temp)
         for _ in range(config.moves_per_step):
-            proposal = np.clip(
-                current + rng.normal(0.0, 1.0, ndim) * width,
-                low, high,
-            )
+            proposal = rng.normal(0.0, 1.0, ndim)
+            np.multiply(proposal, width, out=proposal)
+            np.add(current, proposal, out=proposal)
+            np.maximum(proposal, low, out=proposal)
+            np.minimum(proposal, high, out=proposal)
             proposal_fun = float(objective(proposal[None, :])[0])
-            if not np.isfinite(proposal_fun):
+            if not math.isfinite(proposal_fun):
                 raise EvaluationError(
                     f"objective is not finite at design {proposal}", design=proposal
                 )

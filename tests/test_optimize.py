@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import microlcoe.costs
+import microlcoe.optimize
 from microlcoe.costs import (
     DEFAULT_COSTS,
     DEFAULT_FINANCE,
@@ -284,6 +285,54 @@ class TestLockstepGa:
             ga_minimize(sphere, BOUNDS, QUICK_GA, seeds)
 
 
+def serial_sa(objective, bounds, config, rng):
+    """Reference: the annealing chain as a plain loop, one np.clip proposal
+    and np.isfinite check per move, with the draws from ``rng`` in the order
+    sa_minimize keeps. Returns (x, fun, evaluations, history, restart_bests)."""
+    low, high = bounds
+    span = high - low
+    ndim = low.size
+    current = low + rng.random(ndim) * span
+    current_fun = float(objective(current[None, :])[0])
+    assert np.isfinite(current_fun)
+    evaluations = 1
+    best_x, best_fun = current.copy(), current_fun
+    history = [best_fun]
+    temperature = config.initial_temp
+    for _ in range(config.steps):
+        width = config.step_scale * span * np.sqrt(temperature / config.initial_temp)
+        for _ in range(config.moves_per_step):
+            proposal = np.clip(current + rng.normal(0.0, 1.0, ndim) * width, low, high)
+            proposal_fun = float(objective(proposal[None, :])[0])
+            assert np.isfinite(proposal_fun)
+            evaluations += 1
+            delta = proposal_fun - current_fun
+            if delta < 0.0 or rng.random() < np.exp(-delta / temperature):
+                current, current_fun = proposal, proposal_fun
+                if current_fun < best_fun:
+                    best_fun, best_x = current_fun, current.copy()
+        temperature *= config.cooling_rate
+        history.append(best_fun)
+    return best_x, best_fun, evaluations, history, [best_fun]
+
+
+SHORT_SA = SaConfig(steps=40, moves_per_step=25)
+
+
+class PinnedUniform:
+    """A seeded generator whose scalar uniform (the acceptance draw) is
+    pinned to ``u``; array draws come from ``make_rng(seed)``."""
+
+    def __init__(self, seed, u):
+        self._rng, self.u = make_rng(seed), u
+
+    def random(self, size=None):
+        return self.u if size is None else self._rng.random(size)
+
+    def normal(self, loc, scale, size):
+        return self._rng.normal(loc, scale, size)
+
+
 class TestSaMinimize:
     def test_finds_sphere_center(self):
         result = sa_minimize(sphere, BOUNDS, SaConfig(), 4)
@@ -310,6 +359,64 @@ class TestSaMinimize:
         sa_minimize(instrumented, BOUNDS, QUICK_SA, 3)
         stacked = np.vstack(seen)
         assert np.all(stacked >= BOUNDS[0]) and np.all(stacked <= BOUNDS[1])
+
+    @pytest.mark.parametrize(
+        "objective,config,seed",
+        [(DESIGN_OBJECTIVE, SHORT_SA, seed_path(0, STREAM_RESTART, i)) for i in range(5)]
+        + [(DESIGN_OBJECTIVE, SaConfig(), seed_path(0, STREAM_RESTART, 0)),
+           (sphere, SaConfig(), 4), (sphere, QUICK_SA, 9)],
+    )
+    def test_equals_reference_loop(self, objective, config, seed):
+        result = sa_minimize(objective, BOUNDS, config, seed)
+        x, fun, evaluations, history, restart_bests = serial_sa(
+            objective, BOUNDS, config, make_rng(seed))
+        assert np.array_equal(result.x, x)
+        assert result.fun == fun
+        assert result.evaluations == evaluations == 1 + config.steps * config.moves_per_step
+        assert result.history == history
+        assert result.restart_bests == restart_bests
+
+    def test_acceptance_uses_numpy_exp(self, monkeypatch):
+        # An exponent where math.exp and np.exp round differently, and an
+        # acceptance uniform between the two, so that the chain's path shows
+        # which of them the Metropolis test called.
+        temperature = SaConfig().initial_temp
+        for v in np.random.default_rng(0).uniform(0.0, 50.0 * temperature, 10_000).tolist():
+            e = -v / temperature
+            if math.exp(e) != np.exp(e):
+                break
+        u = min(math.exp(e), float(np.exp(e)))
+        assert (u < math.exp(e)) != (u < np.exp(e))
+        config = SaConfig(steps=2, moves_per_step=3)
+
+        def run(minimize, rng):
+            seen = []
+
+            def objective(x):
+                seen.append(x[0].copy())
+                return np.array([0.0 if len(seen) == 1 else v])
+
+            minimize(objective, BOUNDS, config, rng)
+            return np.vstack(seen)
+
+        monkeypatch.setattr(microlcoe.optimize, "make_rng", lambda seed: PinnedUniform(seed, u))
+        expected = run(serial_sa, PinnedUniform(8, u))
+        assert np.array_equal(run(sa_minimize, 8), expected)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("call", [0, 1, 137])
+    def test_non_finite_objective_reported(self, bad, call):
+        seen = []
+
+        def broken(x):
+            seen.append(x[0].copy())
+            values = DESIGN_OBJECTIVE(x)
+            return np.full_like(values, bad) if len(seen) == call + 1 else values
+
+        with pytest.raises(EvaluationError) as excinfo:
+            sa_minimize(broken, BOUNDS, SHORT_SA, 2)
+        assert len(seen) == call + 1
+        assert np.array_equal(excinfo.value.design, seen[-1])
 
 
 class TestMultiRestart:
@@ -394,6 +501,25 @@ class TestDesignObjective:
         bad = np.array([[0.5, 5.0, 0.25, 6.0, 30.0]])
         with pytest.raises(ValueError):
             objective(bad)
+
+    @pytest.mark.parametrize("column", range(5))
+    def test_box_check_same_for_one_row_and_matrix(self, column):
+        objective = make_design_objective(DEFAULT_COSTS, DEFAULT_FINANCE)
+        low, high = BOUNDS
+        outside = [np.nan, np.inf, -np.inf,
+                   np.nextafter(low[column], -np.inf), np.nextafter(high[column], np.inf)]
+        for value in outside:
+            row = CENTER.copy()
+            row[column] = value
+            for x in (row[None, :], np.vstack([CENTER, row, CENTER])):
+                with pytest.raises(ValueError, match="leaves the search box"):
+                    objective(x)
+        for value in (low[column], high[column]):
+            row = CENTER.copy()
+            row[column] = value
+            matrix = objective(np.vstack([CENTER, row, CENTER]))
+            assert np.all(np.isfinite(matrix))
+            assert objective(row[None, :])[0] == matrix[1]
 
     def test_rejects_wrong_shape(self):
         objective = make_design_objective(DEFAULT_COSTS, DEFAULT_FINANCE)
