@@ -36,6 +36,18 @@ GOLDEN = {
         "manifest.json": "f477d5372cf06b3ef280b1b9c49092b3f47145f95a2c800fdb759cf0449070aa",
         "sensitivity_efficiency.csv": "624a0cc704b818e3d8e31a042d1a85570904956cb8f605903f0fbd1061046a44",
     },
+    "sweep_fixed_design": {
+        "manifest.json": "1cb08460dbc620fbafee62672788c8bb87da242d57faaea5cc94e16fe3bf4c03",
+        "sensitivity_inflation.csv": "1a0c0ade9bb6a67b18dda702caca1913fa69a07e1db2065b06f398a8d729982d",
+    },
+    "study_one_scenario": {
+        "manifest.json": "7a90420cc7537b5149584b3d9fd41cf6ab5ab89e2d52eab4aa7f5f1289b4ba97",
+        "study_occ.csv": "bfab6e3c90761fd71aa9760f85e26e19c76f11a95c5a3166e9e5df2ef3ed1ebd",
+    },
+    "compare": {
+        "compare.csv": "6d2433f379f5aeeae75fab209af53f39592a8ae638d69a675917c3a56d506ec3",
+        "manifest.json": "ee68da7bb32620444aba9402d5d3c8f27d72b1690974492eca9f8582d6ff4a77",
+    },
 }
 # threads is recorded in argv, in the manifest's threads field and in the
 # resolved config, so the study manifest is the one file that differs
@@ -79,3 +91,22 @@ def test_sweep(tmp_path, monkeypatch):
     digests = _run(tmp_path, monkeypatch, "sweep", "--param", "efficiency",
                    "--values", "0.35,0.5", "--seed", "2")
     assert digests == GOLDEN["sweep"]
+
+
+def test_sweep_fixed_design(tmp_path, monkeypatch):
+    # reoptimized=0 rows under escalated inflation, at the default values
+    digests = _run(tmp_path, monkeypatch, "sweep", "--param", "inflation",
+                   "--fixed-design", "p=19.13,xp=5,xt=0.2913,t=6.24,db=30")
+    assert digests == GOLDEN["sweep_fixed_design"]
+
+
+def test_study_one_scenario(tmp_path, monkeypatch):
+    # one scenario: no stats file, and the idx_* columns of unswept
+    # parameters are blank
+    digests = _run(tmp_path, monkeypatch, "study", "--mode", "occ", "--n", "1", "--seed", "6")
+    assert digests == GOLDEN["study_one_scenario"]
+
+
+def test_compare(tmp_path, monkeypatch):
+    digests = _run(tmp_path, monkeypatch, "compare", "--seed", "4")
+    assert digests == GOLDEN["compare"]
