@@ -21,6 +21,7 @@ from .costs import (
     CostInputs,
     DEFAULT_COSTS,
     DEFAULT_FINANCE,
+    DESIGN_FIELDS,
     FinancialParams,
     LcoeBreakdown,
     ReactorDesign,
@@ -40,7 +41,7 @@ from .uncertainty import (
     generate_study,
 )
 
-STUDY_VARIABLES = ("lcoe", "p_elec", "x_p", "x_t", "t_refuel", "db")
+STUDY_VARIABLES = ("lcoe", *DESIGN_FIELDS)
 SWEEP_PARAMETERS = ("efficiency", "discount_rate", "inflation")
 
 __all__ = [
@@ -54,8 +55,10 @@ __all__ = [
     "summarize_stats",
     "pool_workers",
     "run_uncertainty_study",
+    "swept_params",
     "sensitivity_sweep",
     "technology_comparison",
+    "write_optimize_csv",
     "write_study_csv",
     "write_study_stats_csv",
     "write_sensitivity_csv",
@@ -210,14 +213,8 @@ def run_uncertainty_study(
         results = [_scenario_task(t) for t in tasks]
 
     pairs = tuple(zip(scenarios, results))
-    columns = {
-        "lcoe": [r.lcoe for r in results],
-        "p_elec": [r.best_design.p_elec for r in results],
-        "x_p": [r.best_design.x_p for r in results],
-        "x_t": [r.best_design.x_t for r in results],
-        "t_refuel": [r.best_design.t_refuel for r in results],
-        "db": [r.best_design.db for r in results],
-    }
+    columns = {"lcoe": [r.lcoe for r in results]}
+    columns.update((f, [getattr(r.best_design, f) for r in results]) for f in DESIGN_FIELDS)
     if n >= 2:
         stats = {name: summarize_stats(vals) for name, vals in columns.items()}
     else:
@@ -229,6 +226,29 @@ def run_uncertainty_study(
         stats=stats,
         ptc_reduction_range=(min(reductions), max(reductions)),
     )
+
+
+def swept_params(
+    parameter: str, values: Sequence[float], fin: FinancialParams
+) -> list[FinancialParams]:
+    """``fin`` with one financial assumption set to each of ``values``.
+
+    Raises ``ValueError`` naming the first value ``FinancialParams`` rejects.
+    """
+    if parameter not in SWEEP_PARAMETERS:
+        raise ValueError(f"parameter must be one of {SWEEP_PARAMETERS}")
+    resolved = []
+    for value in values:
+        try:
+            if parameter == "efficiency":
+                resolved.append(replace(fin, eta=float(value)))
+            elif parameter == "discount_rate":
+                resolved.append(replace(fin, r=float(value)))
+            else:
+                resolved.append(replace(fin, infl=float(value), inflation_mode="escalated"))
+        except ValueError as exc:
+            raise ValueError(f"{parameter} value {value!r} rejected: {exc}") from exc
+    return resolved
 
 
 def sensitivity_sweep(
@@ -247,20 +267,14 @@ def sensitivity_sweep(
 
     ``reoptimize`` re-runs the design search at every value (the slower,
     self-consistent choice); with it off, ``design`` is held fixed and only
-    re-costed, which isolates the direct effect of the parameter.
+    re-costed, which isolates the direct effect of the parameter. Every value
+    is checked before the first search.
     """
-    if parameter not in SWEEP_PARAMETERS:
-        raise ValueError(f"parameter must be one of {SWEEP_PARAMETERS}")
     if not reoptimize and design is None:
         raise ValueError("a fixed design is required when reoptimize is off")
+    values = [float(v) for v in values]
     rows = []
-    for index, value in enumerate(values):
-        if parameter == "efficiency":
-            fin_i = replace(fin, eta=float(value))
-        elif parameter == "discount_rate":
-            fin_i = replace(fin, r=float(value))
-        else:
-            fin_i = replace(fin, infl=float(value), inflation_mode="escalated")
+    for index, (value, fin_i) in enumerate(zip(values, swept_params(parameter, values, fin))):
         if reoptimize:
             result = optimize_design(
                 costs,
@@ -270,11 +284,11 @@ def sensitivity_sweep(
                 seed=seed_path(seed, STREAM_SWEEP, index),
             )
             rows.append(
-                SweepRow(parameter, float(value), result.best_design, result.breakdown, True)
+                SweepRow(parameter, value, result.best_design, result.breakdown, True)
             )
         else:
             rows.append(
-                SweepRow(parameter, float(value), design, lcoe_breakdown(design, costs, fin_i), False)
+                SweepRow(parameter, value, design, lcoe_breakdown(design, costs, fin_i), False)
             )
     return rows
 
@@ -297,97 +311,96 @@ def technology_comparison(micro_lcoe: float, bench: BenchmarkTable) -> list[tupl
 # ---------------------------------------------------------------------------
 
 
+# The design and cost-term columns optimize.csv, study_<mode>.csv and
+# sensitivity_<param>.csv share, in this order and under these names.
+_COST_TERMS = ("capital", "om", "fuel", "spent", "decommissioning", "ptc_credit")
+_RESULT_COLUMNS = DESIGN_FIELDS + _COST_TERMS
+
+
+def _result_values(design: ReactorDesign, breakdown: LcoeBreakdown) -> list:
+    return [getattr(design, f) for f in DESIGN_FIELDS] + [getattr(breakdown, t) for t in _COST_TERMS]
+
+
 def _fmt(value) -> str:
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))
 
 
-def _open_csv(path):
-    return open(path, "w", newline="", encoding="utf-8")
+def _write_csv(path, header: Sequence[str], rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows([_fmt(value) for value in row] for row in rows)
+
+
+def write_optimize_csv(rows: Sequence[tuple[str, OptimizationResult]], path) -> None:
+    """One row per search method: the best design, its costs and every
+    restart's best value."""
+    header = (
+        "method", "lcoe", "penalized_objective", "penalty_value", "burnup_residual",
+        *_RESULT_COLUMNS, "annual_energy", "evaluations", "restart_bests",
+    )
+    _write_csv(path, header, [
+        [
+            method, res.lcoe, res.objective, res.penalty_value, res.burnup_residual,
+            *_result_values(res.best_design, res.breakdown), res.breakdown.annual_energy,
+            res.evaluations, ";".join(_fmt(b) for b in res.restart_bests),
+        ]
+        for method, res in rows
+    ])
 
 
 def write_study_csv(report: StudyReport, path, param_names: Sequence[str]) -> None:
     """One row per scenario: sampled inputs, grid audit trail, optimal design
     and its cost breakdown."""
-    cost_fields = list(CostInputs.__dataclass_fields__)
-    design_fields = ["p_elec", "x_p", "x_t", "t_refuel", "db"]
+    cost_fields = tuple(CostInputs.__dataclass_fields__)
     header = (
-        ["id"]
-        + [f"idx_{name}" for name in param_names]
-        + cost_fields
-        + design_fields
-        + [
-            "capital", "om", "fuel", "spent", "decommissioning", "ptc_credit",
-            "lcoe", "lcoe_before_credit", "annual_energy",
-            "burnup_residual", "penalty_value", "penalized_objective",
-            "ptc_reduction", "evaluations",
-        ]
+        "id", *(f"idx_{name}" for name in param_names), *cost_fields, *_RESULT_COLUMNS,
+        "lcoe", "lcoe_before_credit", "annual_energy", "burnup_residual", "penalty_value",
+        "penalized_objective", "ptc_reduction", "evaluations",
     )
-    with _open_csv(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for scenario, result in report.scenarios:
-            bd = result.breakdown
-            row = [str(scenario.id)]
-            row += [
-                str(scenario.grid_indices[name]) if name in scenario.grid_indices else ""
-                for name in param_names
-            ]
-            row += [_fmt(getattr(scenario.costs, f)) for f in cost_fields]
-            row += [_fmt(getattr(result.best_design, f)) for f in design_fields]
-            row += [
-                _fmt(bd.capital), _fmt(bd.om), _fmt(bd.fuel), _fmt(bd.spent),
-                _fmt(bd.decommissioning), _fmt(bd.ptc_credit),
-                _fmt(bd.total), _fmt(bd.total_before_credit), _fmt(bd.annual_energy),
-                _fmt(result.burnup_residual), _fmt(result.penalty_value),
-                _fmt(result.objective), _fmt(ptc_reduction(bd)), str(result.evaluations),
-            ]
-            writer.writerow(row)
+    rows = []
+    for scenario, result in report.scenarios:
+        bd = result.breakdown
+        rows.append([
+            scenario.id, *(scenario.grid_indices.get(name, "") for name in param_names),
+            *(getattr(scenario.costs, f) for f in cost_fields),
+            *_result_values(result.best_design, bd), bd.total, bd.total_before_credit,
+            bd.annual_energy, result.burnup_residual, result.penalty_value,
+            result.objective, ptc_reduction(bd), result.evaluations,
+        ])
+    _write_csv(path, header, rows)
 
 
 def write_study_stats_csv(report: StudyReport, path) -> None:
     """Summary table: one row per study variable, max/min/sd/quartiles."""
-    with _open_csv(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["variable", "max", "min", "sd", "q1", "median", "q3"])
-        for name in STUDY_VARIABLES:
-            s = report.stats[name]
-            writer.writerow(
-                [name, _fmt(s.max), _fmt(s.min), _fmt(s.sd), _fmt(s.q1), _fmt(s.median), _fmt(s.q3)]
-            )
+    header = ("variable", "max", "min", "sd", "q1", "median", "q3")
+    _write_csv(path, header, [
+        [name, *(getattr(report.stats[name], column) for column in header[1:])]
+        for name in STUDY_VARIABLES
+    ])
 
 
 def write_sensitivity_csv(rows: Sequence[SweepRow], path) -> None:
-    with _open_csv(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "parameter", "value", "reoptimized",
-                "p_elec", "x_p", "x_t", "t_refuel", "db",
-                "capital", "om", "fuel", "spent", "decommissioning",
-                "ptc_credit", "lcoe", "annual_energy",
-            ]
-        )
-        for row in rows:
-            d, bd = row.design, row.breakdown
-            writer.writerow(
-                [
-                    row.parameter, _fmt(row.value), str(int(row.reoptimized)),
-                    _fmt(d.p_elec), _fmt(d.x_p), _fmt(d.x_t), _fmt(d.t_refuel), _fmt(d.db),
-                    _fmt(bd.capital), _fmt(bd.om), _fmt(bd.fuel), _fmt(bd.spent),
-                    _fmt(bd.decommissioning), _fmt(bd.ptc_credit), _fmt(bd.total),
-                    _fmt(bd.annual_energy),
-                ]
-            )
+    header = ("parameter", "value", "reoptimized", *_RESULT_COLUMNS, "lcoe", "annual_energy")
+    _write_csv(path, header, [
+        [
+            row.parameter, row.value, row.reoptimized,
+            *_result_values(row.design, row.breakdown),
+            row.breakdown.total, row.breakdown.annual_energy,
+        ]
+        for row in rows
+    ])
 
 
 def write_comparison_csv(rows: Sequence[tuple], path) -> None:
-    with _open_csv(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["rank", "technology", "lcoe", "delta_vs_microreactor"])
-        for rank, (name, value, delta) in enumerate(rows, start=1):
-            writer.writerow([str(rank), name, _fmt(value), _fmt(delta)])
+    header = ("rank", "technology", "lcoe", "delta_vs_microreactor")
+    _write_csv(path, header, [
+        [rank, name, value, delta] for rank, (name, value, delta) in enumerate(rows, start=1)
+    ])
 
 
 def write_manifest(path, manifest: dict) -> None:

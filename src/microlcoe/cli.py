@@ -18,7 +18,6 @@ Exit codes: 0 success, 2 configuration error, 3 numerical/optimization error.
 from __future__ import annotations
 
 import argparse
-import csv
 import platform
 import sys
 from dataclasses import replace
@@ -32,16 +31,18 @@ from .analysis import (
     StudyReport,
     run_uncertainty_study,
     sensitivity_sweep,
+    swept_params,
     technology_comparison,
     write_comparison_csv,
     write_manifest,
+    write_optimize_csv,
     write_sensitivity_csv,
     write_study_csv,
     write_study_stats_csv,
 )
 from .config import ConfigError, StudyConfig, config_hash, load_config, resolved_dict
 from .costs import ReactorDesign, lcoe_breakdown
-from .optimize import EvaluationError, OptimizationResult, optimize_design
+from .optimize import EvaluationError, optimize_design
 from .uncertainty import STUDY_MODES
 
 _DESIGN_KEYS = {"p": "p_elec", "xp": "x_p", "xt": "x_t", "t": "t_refuel", "db": "db"}
@@ -123,6 +124,8 @@ def parse_design(text: str) -> ReactorDesign:
         key = key.strip()
         if key not in _DESIGN_KEYS:
             raise ConfigError(f"unknown design key '{key}' (expected {sorted(_DESIGN_KEYS)})")
+        if _DESIGN_KEYS[key] in fields:
+            raise ConfigError(f"design key '{key}' is given more than once")
         try:
             fields[_DESIGN_KEYS[key]] = float(raw)
         except ValueError as exc:
@@ -193,34 +196,6 @@ def _design_str(design: ReactorDesign) -> str:
     )
 
 
-def _write_optimize_csv(path, rows: list[tuple[str, OptimizationResult]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "method", "lcoe", "penalized_objective", "penalty_value",
-                "burnup_residual", "p_elec", "x_p", "x_t", "t_refuel", "db",
-                "capital", "om", "fuel", "spent", "decommissioning", "ptc_credit",
-                "annual_energy", "evaluations", "restart_bests",
-            ]
-        )
-        for method, res in rows:
-            d, bd = res.best_design, res.breakdown
-            writer.writerow(
-                [
-                    method, repr(res.lcoe), repr(res.objective), repr(res.penalty_value),
-                    repr(res.burnup_residual),
-                    repr(float(d.p_elec)), repr(float(d.x_p)), repr(float(d.x_t)),
-                    repr(float(d.t_refuel)), repr(float(d.db)),
-                    repr(float(bd.capital)), repr(float(bd.om)), repr(float(bd.fuel)),
-                    repr(float(bd.spent)), repr(float(bd.decommissioning)),
-                    repr(float(bd.ptc_credit)), repr(float(bd.annual_energy)),
-                    str(res.evaluations),
-                    ";".join(repr(b) for b in res.restart_bests),
-                ]
-            )
-
-
 def _cmd_lcoe(config: StudyConfig, args, argv) -> int:
     design = parse_design(args.design)
     breakdown = lcoe_breakdown(design, config.costs, config.fin)
@@ -250,9 +225,7 @@ def _cmd_optimize(config: StudyConfig, args, argv) -> int:
         gap = abs(result.objective - sa_result.objective) / result.objective
         print(f"sa check: lcoe {sa_result.lcoe:.2f} $/MWh "
               f"({_design_str(sa_result.best_design)}), relative gap {gap:.4%}")
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_optimize_csv(out_dir / "optimize.csv", rows)
+    write_optimize_csv(rows, Path(config.output_dir) / "optimize.csv")
     _finish(config, "optimize", argv, ["optimize.csv"])
     return 0
 
@@ -278,7 +251,6 @@ def _cmd_study(config: StudyConfig, args, argv) -> int:
         threads=config.threads,
     )
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     param_names = [p.name for p in config.uncertain]
     scenario_csv = f"study_{args.mode}.csv"
     stats_csv = f"study_{args.mode}_stats.csv"
@@ -301,6 +273,10 @@ def _cmd_sweep(config: StudyConfig, args, argv) -> int:
             raise ConfigError(f"--values must be comma-separated numbers: {exc}") from exc
         if not values:
             raise ConfigError("--values is empty")
+        try:
+            swept_params(_SWEEP_CLI_PARAMS[args.param], values, config.fin)
+        except ValueError as exc:
+            raise ConfigError(f"--values: {exc}") from exc
     else:
         values = list(_DEFAULT_SWEEP_VALUES[args.param])
     fixed = parse_design(args.fixed_design) if args.fixed_design else None
@@ -310,10 +286,8 @@ def _cmd_sweep(config: StudyConfig, args, argv) -> int:
         penalty_weight=config.penalty_weight, seed=config.seed,
         reoptimize=fixed is None, design=fixed,
     )
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     name = f"sensitivity_{args.param}.csv"
-    write_sensitivity_csv(rows, out_dir / name)
+    write_sensitivity_csv(rows, Path(config.output_dir) / name)
     print(f"{'value':>10}{'lcoe':>12}")
     for row in rows:
         print(f"{row.value:>10.4g}{row.breakdown.total:>12.2f}")
@@ -327,9 +301,7 @@ def _cmd_compare(config: StudyConfig, args, argv) -> int:
         penalty_weight=config.penalty_weight, seed=config.seed,
     )
     ranking = technology_comparison(result.lcoe, config.benchmarks)
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_comparison_csv(ranking, out_dir / "compare.csv")
+    write_comparison_csv(ranking, Path(config.output_dir) / "compare.csv")
     print(f"{'rank':<6}{'technology':<24}{'lcoe':>10}{'delta':>10}")
     for rank, (name, value, delta) in enumerate(ranking, start=1):
         print(f"{rank:<6}{name:<24}{value:>10.2f}{delta:>+10.2f}")

@@ -40,7 +40,6 @@ __all__ = [
     "ReactorDesign",
     "CostInputs",
     "FinancialParams",
-    "FuelBatchCost",
     "LcoeBreakdown",
     "DEFAULT_COSTS",
     "DEFAULT_FINANCE",
@@ -49,12 +48,6 @@ __all__ = [
     "sinking_fund_factor",
     "present_value_annuity_factor",
     "effective_capacity_factor",
-    "annual_energy",
-    "annualized_capital",
-    "annualized_om",
-    "fuel_batch_cost",
-    "annualized_fuel",
-    "annualized_decommissioning",
     "ptc_credit_per_mwh",
     "compile_lcoe",
     "lcoe_terms",
@@ -176,20 +169,6 @@ class FinancialParams:
 
 
 @dataclass(frozen=True)
-class FuelBatchCost:
-    """Per-batch fuel purchase broken into its four components, $."""
-
-    uranium: float
-    conversion: float
-    enrichment: float
-    fabrication: float
-
-    @property
-    def total(self):
-        return self.uranium + self.conversion + self.enrichment + self.fabrication
-
-
-@dataclass(frozen=True)
 class LcoeBreakdown:
     """Levelized cost components, $/MWh, and the annual energy basis."""
 
@@ -301,58 +280,12 @@ def effective_capacity_factor(fin: FinancialParams, t_refuel):
     return _cf_raw(fin, t_refuel)
 
 
-def annual_energy(p_elec, cf):
-    """Electricity delivered per year, MWh."""
-    if np.any(p_elec <= 0.0):
-        raise ValueError("electric capacity must be positive")
-    if np.any(cf <= 0.0) or np.any(cf > 1.0):
-        raise ValueError("capacity factor must lie in (0, 1]")
-    return p_elec * HOURS_PER_YEAR * cf
-
-
-def annualized_capital(occ, p_elec, r: float, lt):
-    """Overnight capital spread into a level annual charge, $/yr."""
-    return occ * p_elec * 1000.0 * capital_recovery_factor(r, lt)
-
-
-def annualized_om(costs: CostInputs, energy):
-    """Staff, fixed and variable O&M for one year, $/yr."""
-    if np.any(energy < 0.0):
-        raise ValueError("energy must be >= 0")
-    return costs.n_fte * costs.s_fte + costs.fom + costs.vom * energy
-
-
 def _fuel_terms(m_p, m_f, swu, costs: CostInputs, loss: float):
     uranium = costs.c_yc * m_f / (1.0 - loss)
     conversion = costs.c_conv * m_f
     enrichment = costs.c_swu * swu * m_p
     fabrication = costs.c_fab * m_p
     return uranium, conversion, enrichment, fabrication
-
-
-def fuel_batch_cost(design: ReactorDesign, costs: CostInputs, fin: FinancialParams) -> FuelBatchCost:
-    """Purchase cost of one fuel batch at the design's assays and masses."""
-    cf = effective_capacity_factor(fin, design.t_refuel)
-    sp = fuelcycle.specific_power(design.db, design.t_refuel, cf)
-    m_p = fuelcycle.batch_product_mass(design.p_elec, fin.eta, sp)
-    assays = fuelcycle.EnrichmentAssays(x_p=design.x_p, x_t=design.x_t, x_f=fin.x_f)
-    flows = fuelcycle.mass_flows(assays, m_p)
-    swu = fuelcycle.swu_per_kg_product(assays)
-    return FuelBatchCost(*_fuel_terms(flows.m_p, flows.m_f, swu, costs, fin.loss))
-
-
-def annualized_fuel(batch_total, r: float, t_refuel):
-    """Level annual charge of a batch purchased every ``t_refuel`` years, $/yr."""
-    if np.any(batch_total < 0.0):
-        raise ValueError("batch cost must be >= 0")
-    return batch_total * capital_recovery_factor(r, t_refuel)
-
-
-def annualized_decommissioning(c_dec, p_elec, r: float, lt):
-    """Sinking-fund deposit toward end-of-life decommissioning, $/yr."""
-    if np.any(c_dec < 0.0) or np.any(p_elec < 0.0):
-        raise ValueError("decommissioning inputs must be >= 0")
-    return c_dec * p_elec * 1000.0 * sinking_fund_factor(r, lt)
 
 
 def ptc_credit_per_mwh(fin: FinancialParams):

@@ -21,7 +21,6 @@ __all__ = [
     "NATURAL_URANIUM_ASSAY",
     "EnrichmentAssays",
     "MassFlows",
-    "CoreParams",
     "value_function",
     "specific_power",
     "batch_product_mass",
@@ -29,7 +28,6 @@ __all__ = [
     "swu_per_kg_product",
     "mass_balance_residual",
     "burnup_residual",
-    "core_params",
 ]
 
 
@@ -77,23 +75,6 @@ class MassFlows:
             raise ValueError("feed mass m_f cannot be below product mass m_p")
         if np.any(np.abs(self.m_t - (self.m_f - self.m_p)) > 1e-9 * self.m_f):
             raise ValueError("tails mass m_t must equal m_f - m_p")
-
-
-@dataclass(frozen=True)
-class CoreParams:
-    """Core-average fuel parameters for one refueling cycle."""
-
-    db: float  # discharge burnup, MWd/kgU
-    t_refuel: float  # refueling interval, years
-    cf: float  # effective capacity factor
-    sp: float  # specific thermal power, kW/kgU
-
-    def __post_init__(self):
-        if np.any(self.db > 0.0) and np.any(self.sp <= 0.0):
-            raise ValueError("specific power must be positive for nonzero burnup")
-        implied = 1000.0 * self.db / (self.t_refuel * self.cf * DAYS_PER_YEAR)
-        if np.any(np.abs(self.sp - implied) > 1e-9 * np.maximum(implied, 1e-30)):
-            raise ValueError("sp is inconsistent with db, t_refuel and cf")
 
 
 # The *_raw kernels below carry the arithmetic without domain checks; the
@@ -211,7 +192,3 @@ def burnup_residual(x_p, db, t_refuel, cf):
     """
     return _burnup_residual_raw(x_p, db, t_refuel, specific_power(db, t_refuel, cf))
 
-
-def core_params(db, t_refuel, cf) -> CoreParams:
-    """Bundle cycle parameters with their implied specific power."""
-    return CoreParams(db=db, t_refuel=t_refuel, cf=cf, sp=specific_power(db, t_refuel, cf))

@@ -31,12 +31,12 @@ from .costs import (
     ReactorDesign,
     bounds_arrays,
     compile_lcoe,
-    effective_capacity_factor,
-    lcoe_breakdown,
-    lcoe_terms,  # noqa: F401 -- unused here; bench/tracer.py wraps optimize.lcoe_terms
 )
-from .fuelcycle import burnup_residual
 from .rng import STREAM_RESTART, SeedLike, make_rng, seed_path
+
+# Re-exported, unused here: bench/tracer.py wraps these names on this module.
+from .costs import effective_capacity_factor, lcoe_terms  # noqa: F401
+from .fuelcycle import burnup_residual  # noqa: F401
 
 DEFAULT_PENALTY_WEIGHT = 0.05  # $/MWh per (MWd/kgU)^2
 STALL_IMPROVEMENT = 1e-6  # objective gain that resets the stall counter
@@ -457,9 +457,11 @@ def optimize_design(
         raise ValueError("method must be 'ga' or 'sa'")
 
     design = ReactorDesign.from_array(raw.x)
-    breakdown = lcoe_breakdown(design, costs, fin)
-    cf = effective_capacity_factor(fin, design.t_refuel)
-    residual = float(burnup_residual(design.x_p, design.db, design.t_refuel, cf))
+    terms = compile_lcoe(costs, fin)(
+        design.p_elec, design.x_p, design.x_t, design.t_refuel, design.db
+    )
+    breakdown = LcoeBreakdown(*terms[:8])
+    residual = float(terms[8])
     return OptimizationResult(
         best_design=design,
         lcoe=float(breakdown.total),

@@ -231,6 +231,14 @@ class TestSensitivitySweep:
         with pytest.raises(ValueError):
             sensitivity_sweep("fuel_price", [1.0], reoptimize=False, design=BASE_DESIGN)
 
+    def test_bad_later_value_rejected_before_any_search(self, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched before checking every value")
+
+        monkeypatch.setattr(analysis, "optimize_design", no_search)
+        with pytest.raises(ValueError, match="efficiency value nan"):
+            sensitivity_sweep("efficiency", [0.35, float("nan")], ga_config=LIGHT_GA)
+
 
 class TestTechnologyComparison:
     def test_empty_benchmark(self):

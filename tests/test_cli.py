@@ -201,7 +201,10 @@ class TestParseDesign:
 
     @pytest.mark.parametrize(
         "text",
-        ["p=19.13", "p=19,xp=5,xt=0.25,t=6,db=thirty", "power=19,xp=5,xt=0.25,t=6,db=30"],
+        [
+            "p=19.13", "p=19,xp=5,xt=0.25,t=6,db=thirty", "power=19,xp=5,xt=0.25,t=6,db=30",
+            "p=5,p=19.13,xp=5,xt=0.2913,t=6.24,db=30",
+        ],
     )
     def test_malformed_design(self, text):
         with pytest.raises(ConfigError):
@@ -323,6 +326,28 @@ class TestCliCommands:
     def test_sweep_rejects_bad_values(self, tmp_path):
         code = main(["sweep", "--param", "efficiency", "--values", "a,b", "--out", str(tmp_path)])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "param,values",
+        [
+            ("efficiency", "0.35,nan"),
+            ("efficiency", "0.35,inf"),
+            ("efficiency", "1.5"),
+            ("discount", "0.05,-0.01"),
+        ],
+    )
+    def test_sweep_rejected_value_exits_2_before_any_search(self, tmp_path, capsys, param, values):
+        out = tmp_path / "o"
+        code = main(["sweep", "--param", param, "--values", values, "--out", str(out)])
+        assert code == 2
+        assert "--values" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
+    def test_lcoe_repeated_design_key_exits_2(self, tmp_path, capsys):
+        code = main(["lcoe", "--design", "p=5,p=19.13,xp=5,xt=0.2913,t=6.24,db=30",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "'p'" in capsys.readouterr().err
 
     def test_compare_ranking(self, tmp_path):
         payload = dict(LIGHT_SOLVERS)

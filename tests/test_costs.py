@@ -12,14 +12,8 @@ from microlcoe.costs import (
     CostInputs,
     FinancialParams,
     ReactorDesign,
-    annual_energy,
-    annualized_capital,
-    annualized_decommissioning,
-    annualized_fuel,
-    annualized_om,
     capital_recovery_factor,
     effective_capacity_factor,
-    fuel_batch_cost,
     lcoe_breakdown,
     present_value_annuity_factor,
     ptc_credit_per_mwh,
@@ -28,6 +22,26 @@ from microlcoe.costs import (
 
 BASE_DESIGN = ReactorDesign(p_elec=19.13, x_p=5.0, x_t=0.2913, t_refuel=6.24, db=30.0)
 FLAT_CF = replace(DEFAULT_FINANCE, downtime_model=False)
+ZERO_COSTS = CostInputs(0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+
+
+def annual_dollars(term, design=BASE_DESIGN, costs=DEFAULT_COSTS, fin=FLAT_CF):
+    """A levelized term of :func:`lcoe_breakdown` times the annual energy, $/yr."""
+    bd = lcoe_breakdown(design, costs, fin)
+    return getattr(bd, term) * bd.annual_energy
+
+
+def batch_dollars(costs, fin=FLAT_CF):
+    """Purchase cost of one fuel batch of BASE_DESIGN, $: the annual fuel
+    charge divided by the refueling-interval annuity."""
+    return annual_dollars("fuel", costs=costs, fin=fin) / capital_recovery_factor(
+        fin.r, BASE_DESIGN.t_refuel
+    )
+
+
+def only(**prices):
+    """A cost set with every entry zero except ``prices``."""
+    return replace(ZERO_COSTS, **prices)
 
 
 class TestAnnuityFactors:
@@ -90,77 +104,90 @@ class TestEffectiveCapacityFactor:
 
 class TestAnnualEnergy:
     def test_base_case(self):
-        assert annual_energy(19.13, 0.93) == pytest.approx(155848.3, abs=0.5)
+        assert lcoe_breakdown(BASE_DESIGN, DEFAULT_COSTS, FLAT_CF).annual_energy == pytest.approx(
+            155848.3, abs=0.5
+        )
 
     def test_unit_plant(self):
-        assert annual_energy(1.0, 1.0) == 8760.0
+        design = replace(BASE_DESIGN, p_elec=1.0)
+        fin = replace(FLAT_CF, cf_base=1.0)
+        assert lcoe_breakdown(design, DEFAULT_COSTS, fin).annual_energy == 8760.0
 
     def test_half_duty(self):
-        assert annual_energy(20.0, 0.5) == 87600.0
+        design = replace(BASE_DESIGN, p_elec=20.0)
+        fin = replace(FLAT_CF, cf_base=0.5)
+        assert lcoe_breakdown(design, DEFAULT_COSTS, fin).annual_energy == 87600.0
 
 
 class TestAnnualizedCosts:
+    # Each term of the breakdown times the annual energy, against the
+    # hand-computed dollars per year.
     def test_capital_base(self):
-        assert annualized_capital(3000.0, 19.13, 0.05, 20) == pytest.approx(4.6052e6, abs=1e3)
+        assert annual_dollars("capital") == pytest.approx(4.6052e6, abs=1e3)
 
     def test_capital_zero(self):
-        assert annualized_capital(0.0, 19.13, 0.05, 20) == 0.0
+        assert annual_dollars("capital", costs=only(c_yc=104.0)) == 0.0
 
     def test_capital_high(self):
-        assert annualized_capital(4000.0, 20.0, 0.05, 20) == pytest.approx(6.4194e6, abs=1e3)
+        design = replace(BASE_DESIGN, p_elec=20.0)
+        costs = replace(DEFAULT_COSTS, occ=4000.0)
+        assert annual_dollars("capital", design, costs) == pytest.approx(6.4194e6, abs=1e3)
 
     def test_om_base(self):
-        energy = annual_energy(19.13, 0.93)
-        assert annualized_om(DEFAULT_COSTS, energy) == pytest.approx(1.5726e6, abs=500.0)
+        assert annual_dollars("om") == pytest.approx(1.5726e6, abs=500.0)
 
     def test_om_zero(self):
-        zero = CostInputs(0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
-        assert annualized_om(zero, 1e6) == 0.0
+        assert annual_dollars("om", costs=ZERO_COSTS) == 0.0
 
     def test_om_heavy_staffing(self):
         costs = replace(DEFAULT_COSTS, n_fte=10.0, s_fte=175_151.50, fom=531_000.0, vom=2.44)
-        energy = annual_energy(19.13, 0.93)
-        assert annualized_om(costs, energy) == pytest.approx(2.6627e6, abs=1e3)
+        assert annual_dollars("om", costs=costs) == pytest.approx(2.6627e6, abs=1e3)
 
     def test_fuel_annuity(self):
-        assert annualized_fuel(11.234e6, 0.05, 6.24) == pytest.approx(2.1400e6, abs=2e3)
+        assert annual_dollars("fuel") == pytest.approx(2.1400e6, abs=2e3)
 
     def test_fuel_zero(self):
-        assert annualized_fuel(0.0, 0.05, 6.24) == 0.0
+        assert annual_dollars("fuel", costs=ZERO_COSTS) == 0.0
 
     def test_fuel_zero_rate(self):
-        assert annualized_fuel(11.234e6, 0.0, 6.24) == pytest.approx(1.8003e6, abs=2e3)
+        # at r = 0 a batch is spread evenly over its refueling interval
+        fin = replace(FLAT_CF, r=0.0)
+        assert annual_dollars("fuel", fin=fin) == pytest.approx(1.8003e6, abs=2e3)
 
     def test_decommissioning_base(self):
-        assert annualized_decommissioning(7500.0, 19.13, 0.05, 20) == pytest.approx(4.3391e6, abs=2e3)
+        assert annual_dollars("decommissioning") == pytest.approx(4.3391e6, abs=2e3)
 
     def test_decommissioning_zero(self):
-        assert annualized_decommissioning(0.0, 19.13, 0.05, 20) == 0.0
+        assert annual_dollars("decommissioning", costs=only(occ=3000.0)) == 0.0
 
     def test_decommissioning_low_rate(self):
-        assert annualized_decommissioning(7500.0, 19.13, 0.03, 20) == pytest.approx(5.3399e6, abs=2e3)
+        fin = replace(FLAT_CF, r=0.03)
+        assert annual_dollars("decommissioning", fin=fin) == pytest.approx(5.3399e6, abs=2e3)
 
 
 class TestFuelBatchCost:
     def test_base_components(self):
-        batch = fuel_batch_cost(BASE_DESIGN, DEFAULT_COSTS, FLAT_CF)
-        assert batch.uranium == pytest.approx(4.526e6, abs=5e3)
-        assert batch.conversion == pytest.approx(0.2598e6, abs=500.0)
-        assert batch.enrichment == pytest.approx(4.519e6, abs=5e3)
-        assert batch.fabrication == pytest.approx(1.9296e6, abs=2e3)
-        assert batch.total == pytest.approx(11.234e6, abs=1e4)
+        # one price at a time isolates each component of the batch purchase
+        assert batch_dollars(only(c_yc=104.0)) == pytest.approx(4.526e6, abs=5e3)
+        assert batch_dollars(only(c_conv=6.0)) == pytest.approx(0.2598e6, abs=500.0)
+        assert batch_dollars(only(c_swu=160.0)) == pytest.approx(4.519e6, abs=5e3)
+        assert batch_dollars(only(c_fab=500.0)) == pytest.approx(1.9296e6, abs=2e3)
+        assert batch_dollars(DEFAULT_COSTS) == pytest.approx(11.234e6, abs=1e4)
 
     def test_zero_unit_costs(self):
-        zero = CostInputs(0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
-        batch = fuel_batch_cost(BASE_DESIGN, zero, FLAT_CF)
-        assert batch.total == 0.0
+        assert batch_dollars(ZERO_COSTS) == 0.0
 
     def test_loss_scales_uranium_only(self):
-        lossless = fuel_batch_cost(BASE_DESIGN, DEFAULT_COSTS, replace(FLAT_CF, loss=0.0))
-        lossy = fuel_batch_cost(BASE_DESIGN, DEFAULT_COSTS, replace(FLAT_CF, loss=0.005))
-        assert lossless.uranium / lossy.uranium == pytest.approx(0.995, rel=1e-12)
-        assert lossless.conversion == lossy.conversion
-        assert lossless.enrichment == lossy.enrichment
+        lossless, lossy = replace(FLAT_CF, loss=0.0), replace(FLAT_CF, loss=0.005)
+        uranium = only(c_yc=104.0)
+        ratio = annual_dollars("fuel", costs=uranium, fin=lossless) / annual_dollars(
+            "fuel", costs=uranium, fin=lossy
+        )
+        assert ratio == pytest.approx(0.995, rel=1e-12)
+        no_uranium = replace(DEFAULT_COSTS, c_yc=0.0)
+        assert annual_dollars("fuel", costs=no_uranium, fin=lossless) == annual_dollars(
+            "fuel", costs=no_uranium, fin=lossy
+        )
 
 
 class TestPtcCredit:
@@ -207,8 +234,7 @@ class TestLcoeBreakdown:
         assert bd.total == pytest.approx(66.72, abs=0.05)
 
     def test_pure_credit(self):
-        zero = CostInputs(0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
-        bd = lcoe_breakdown(BASE_DESIGN, zero, FLAT_CF)
+        bd = lcoe_breakdown(BASE_DESIGN, ZERO_COSTS, FLAT_CF)
         assert bd.total == pytest.approx(-15.49, abs=0.01)
 
     def test_capital_only(self):

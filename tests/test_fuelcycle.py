@@ -11,7 +11,6 @@ from microlcoe.fuelcycle import (
     MassFlows,
     batch_product_mass,
     burnup_residual,
-    core_params,
     mass_balance_residual,
     mass_flows,
     specific_power,
@@ -204,18 +203,6 @@ class TestBurnupResidual:
     def test_domain_errors_propagate(self):
         with pytest.raises(ValueError):
             burnup_residual(5.0, 30.0, 0.0, 0.93)
-
-
-class TestCoreParams:
-    def test_consistent_bundle(self):
-        core = core_params(30.0, 6.24, 0.93)
-        assert core.sp == pytest.approx(14.1632, abs=1e-3)
-
-    def test_inconsistent_sp_rejected(self):
-        from microlcoe.fuelcycle import CoreParams
-
-        with pytest.raises(ValueError):
-            CoreParams(db=30.0, t_refuel=6.24, cf=0.93, sp=10.0)
 
 
 def test_round_trip_energy_identity_fuzz():
