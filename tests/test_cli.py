@@ -88,7 +88,34 @@ class TestDefaults:
         assert resolved_dict(load_config(None)) == resolved_dict(StudyConfig())
 
 
+def typed_keys():
+    """Every typed key of financial, costs, ga, sa and the top level, as
+    pytest params of (dotted path, default value)."""
+    image = resolved_dict(StudyConfig())
+    keys = [("costs.c_yc_per_lb", 40.0)]
+    for section in ("financial", "costs", "ga", "sa"):
+        keys += [(f"{section}.{key}", value) for key, value in image[section].items()]
+    keys += [(key, image[key]) for key in ("penalty_weight", "seed", "threads", "output_dir", "notes")]
+    return [pytest.param(path, default, id=path) for path, default in keys]
+
+
+# One wrongly typed value per field kind, as JSON text.
+WRONG_TYPE = {float: '"x"', int: "1.5", bool: "1", str: "1"}
+
+
 class TestStrictParsing:
+    @pytest.mark.parametrize("literal", [False, True], ids=["wrong-type", "nan"])
+    @pytest.mark.parametrize("path,default", typed_keys())
+    def test_wrongly_typed_value_rejected_with_path(self, tmp_path, path, default, literal):
+        text = "NaN" if literal else WRONG_TYPE[type(default)]
+        for key in reversed(path.split(".")):
+            text = f'{{"{key}": {text}}}'
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        with pytest.raises(ConfigError) as info:
+            load_config(str(config))
+        assert str(info.value).startswith(f"{path} must be ")
+
     @pytest.mark.parametrize(
         "payload,fragment",
         [
