@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from .analysis import BenchmarkTable
@@ -19,7 +19,6 @@ from .costs import (
     CostInputs,
     DEFAULT_COSTS,
     FinancialParams,
-    INFLATION_MODES,
     LB_U3O8_PER_KG_U,
 )
 from .optimize import DEFAULT_PENALTY_WEIGHT, GaConfig, SaConfig
@@ -82,6 +81,8 @@ class StudyConfig:
             raise ConfigError("seed must be >= 0")
 
 
+# One table per section, from file key to dataclass field. Each drives both
+# parse_config and resolved_dict; a field's default gives its type.
 _FINANCIAL_KEYS = {
     "discount_rate": "r",
     "inflation_rate": "infl",
@@ -96,21 +97,16 @@ _FINANCIAL_KEYS = {
     "downtime_model": "downtime_model",
     "inflation_mode": "inflation_mode",
 }
-
-_COST_KEYS = (
-    "occ", "n_fte", "s_fte", "fom", "vom",
-    "c_yc", "c_yc_per_lb", "c_conv", "c_swu", "c_fab", "c_spent", "c_dec",
-)
+_COST_KEYS = {f.name: f.name for f in fields(CostInputs)}
+_GA_KEYS = {f.name: f.name for f in fields(GaConfig)}
+_SA_KEYS = {f.name: f.name for f in fields(SaConfig)}
+_SCALAR_KEYS = {  # penalty_weight, seed, threads, output_dir, notes
+    f.name: f.name for f in fields(StudyConfig) if isinstance(f.default, (float, int, str))
+}
 
 _UNCERTAIN_KEYS = ("pdf", "min", "max", "mode", "nominal", "grid_points")
 
-_GA_KEYS = tuple(GaConfig.__dataclass_fields__)
-_SA_KEYS = tuple(SaConfig.__dataclass_fields__)
-
-_TOP_KEYS = (
-    "financial", "costs", "uncertainty", "ga", "sa", "benchmarks",
-    "penalty_weight", "seed", "threads", "output_dir", "notes",
-)
+_TOP_KEYS = ("financial", "costs", "uncertainty", "ga", "sa", "benchmarks", *_SCALAR_KEYS)
 
 
 def _require_mapping(value, path: str) -> dict:
@@ -142,6 +138,16 @@ class _JsonConstant:
         return self.text
 
 
+def _unique_keys(pairs) -> dict:
+    """JSON object hook that rejects a key given twice in one object."""
+    mapping = {}
+    for key, value in pairs:
+        if key in mapping:
+            raise ConfigError(f"config key '{key}' is given more than once")
+        mapping[key] = value
+    return mapping
+
+
 def _number(value, path: str) -> float:
     if isinstance(value, _JsonConstant):
         raise ConfigError(f"{path} must be a finite number, not {value}")
@@ -152,92 +158,76 @@ def _number(value, path: str) -> float:
     return float(value)
 
 
-def _integer(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path} must be an integer")
+_TYPE_NAMES = {int: "an integer", bool: "true or false", str: "a string"}
+
+
+def _read(value, like, path: str):
+    """``value`` checked against the type of ``like``, the field's default:
+    a finite number for a float, else exactly that type (no bool for an int)."""
+    if isinstance(like, float):
+        return _number(value, path)
+    if type(value) is not type(like):
+        raise ConfigError(f"{path} must be {_TYPE_NAMES[type(like)]}")
     return value
 
 
-def _boolean(value, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path} must be true or false")
-    return value
+def _read_keys(section: dict, keys: dict, like, path: str) -> dict:
+    """The fields that ``section`` sets, read against their values in ``like``."""
+    return {
+        attr: _read(section[key], getattr(like, attr), f"{path}.{key}" if path else key)
+        for key, attr in keys.items()
+        if key in section
+    }
 
 
-def _parse_financial(section: dict) -> FinancialParams:
-    _reject_unknown(section, _FINANCIAL_KEYS, "financial")
-    kwargs = {}
-    for key, attr in _FINANCIAL_KEYS.items():
-        if key not in section:
-            continue
-        if key == "downtime_model":
-            kwargs[attr] = _boolean(section[key], f"financial.{key}")
-        elif key == "inflation_mode":
-            if section[key] not in INFLATION_MODES:
-                raise ConfigError(f"financial.inflation_mode must be one of {INFLATION_MODES}")
-            kwargs[attr] = section[key]
-        else:
-            kwargs[attr] = _number(section[key], f"financial.{key}")
+def _parse_section(section, name: str, keys: dict, default):
+    _reject_unknown(_require_mapping(section, name), keys, name)
+    values = _read_keys(section, keys, default, name)
     try:
-        return FinancialParams(**kwargs)
+        return replace(default, **values)
     except ValueError as exc:
-        raise ConfigError(f"financial: {exc}") from exc
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
-def _parse_costs(section: dict) -> CostInputs:
-    _reject_unknown(section, _COST_KEYS, "costs")
-    if "c_yc" in section and "c_yc_per_lb" in section:
-        raise ConfigError("costs: give uranium as c_yc ($/kgU) or c_yc_per_lb, not both")
-    kwargs = {}
-    for key in _COST_KEYS:
-        if key not in section:
-            continue
-        value = _number(section[key], f"costs.{key}")
-        if key == "c_yc_per_lb":
-            kwargs["c_yc"] = value * LB_U3O8_PER_KG_U
-        else:
-            kwargs[key] = value
-    try:
-        return replace(DEFAULT_COSTS, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"costs: {exc}") from exc
+def _parse_costs(section) -> CostInputs:
+    section = dict(_require_mapping(section, "costs"))
+    if "c_yc_per_lb" in section:
+        if "c_yc" in section:
+            raise ConfigError("costs: give uranium as c_yc ($/kgU) or c_yc_per_lb, not both")
+        per_lb = _number(section.pop("c_yc_per_lb"), "costs.c_yc_per_lb")
+        section["c_yc"] = per_lb * LB_U3O8_PER_KG_U
+    return _parse_section(section, "costs", _COST_KEYS, DEFAULT_COSTS)
 
 
-def _parse_uncertainty(section: dict, costs: CostInputs) -> tuple:
+def _parse_uncertainty(section, costs: CostInputs) -> tuple:
     defaults = {p.name: p for p in default_uncertain_parameters(costs)}
-    _reject_unknown(section, defaults, "uncertainty")
+    _reject_unknown(_require_mapping(section, "uncertainty"), defaults, "uncertainty")
     params = []
     for name, stock in defaults.items():
         if name not in section:
             params.append(stock)
             continue
-        spec = _require_mapping(section[name], f"uncertainty.{name}")
-        _reject_unknown(spec, _UNCERTAIN_KEYS, f"uncertainty.{name}")
+        path = f"uncertainty.{name}"
+        spec = _require_mapping(section[name], path)
+        _reject_unknown(spec, _UNCERTAIN_KEYS, path)
+
+        def get(key, default):
+            return _read(spec[key], default, f"{path}.{key}") if key in spec else default
+
         kind = spec.get("pdf", stock.pdf.kind)
         if kind not in PDF_KINDS:
-            raise ConfigError(f"uncertainty.{name}.pdf must be one of {PDF_KINDS}")
-        low = _number(spec["min"], f"uncertainty.{name}.min") if "min" in spec else stock.pdf.min
-        high = _number(spec["max"], f"uncertainty.{name}.max") if "max" in spec else stock.pdf.max
-        nominal = (
-            _number(spec["nominal"], f"uncertainty.{name}.nominal")
-            if "nominal" in spec
-            else stock.nominal
-        )
+            raise ConfigError(f"{path}.pdf must be one of {PDF_KINDS}")
+        low, high = get("min", stock.pdf.min), get("max", stock.pdf.max)
+        nominal = get("nominal", stock.nominal)
         if kind == "triangular":
-            mode = _number(spec["mode"], f"uncertainty.{name}.mode") if "mode" in spec else nominal
-        elif "mode" in spec:
-            raise ConfigError(f"uncertainty.{name}.mode is only valid for triangular pdfs")
+            mode = get("mode", nominal)
+        elif spec.get("mode") is not None:  # resolved_dict writes a uniform mode as null
+            raise ConfigError(f"{path}.mode is only valid for triangular pdfs")
         else:
             mode = None
-        grid_points = (
-            _integer(spec["grid_points"], f"uncertainty.{name}.grid_points")
-            if "grid_points" in spec
-            else stock.grid_points
-        )
+        grid_points = get("grid_points", stock.grid_points)
         if not 2 <= grid_points <= MAX_GRID_POINTS:
-            raise ConfigError(
-                f"uncertainty.{name}.grid_points must lie in [2, {MAX_GRID_POINTS}]"
-            )
+            raise ConfigError(f"{path}.grid_points must lie in [2, {MAX_GRID_POINTS}]")
         try:
             params.append(
                 UncertainParameter(
@@ -248,25 +238,8 @@ def _parse_uncertainty(section: dict, costs: CostInputs) -> tuple:
                 )
             )
         except ValueError as exc:
-            raise ConfigError(f"uncertainty.{name}: {exc}") from exc
+            raise ConfigError(f"{path}: {exc}") from exc
     return tuple(params)
-
-
-def _parse_solver(section: dict, cls, keys, path: str):
-    _reject_unknown(section, keys, path)
-    kwargs = {}
-    for key in keys:
-        if key not in section:
-            continue
-        if key in ("population", "generations", "elite_count", "stall_generations",
-                   "restarts", "steps", "moves_per_step"):
-            kwargs[key] = _integer(section[key], f"{path}.{key}")
-        else:
-            kwargs[key] = _number(section[key], f"{path}.{key}")
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _parse_benchmarks(section) -> BenchmarkTable:
@@ -278,9 +251,10 @@ def _parse_benchmarks(section) -> BenchmarkTable:
         _reject_unknown(item, ("name", "lcoe"), f"benchmarks[{i}]")
         if "name" not in item or "lcoe" not in item:
             raise ConfigError(f"benchmarks[{i}] needs both name and lcoe")
-        if not isinstance(item["name"], str):
-            raise ConfigError(f"benchmarks[{i}].name must be a string")
-        entries.append((item["name"], _number(item["lcoe"], f"benchmarks[{i}].lcoe")))
+        entries.append(
+            (_read(item["name"], "", f"benchmarks[{i}].name"),
+             _number(item["lcoe"], f"benchmarks[{i}].lcoe"))
+        )
     try:
         return BenchmarkTable(entries=tuple(entries))
     except ValueError as exc:
@@ -291,36 +265,19 @@ def parse_config(data: dict) -> StudyConfig:
     """Build a :class:`StudyConfig` from an already-parsed JSON object."""
     data = _require_mapping(data, "config")
     _reject_unknown(data, _TOP_KEYS, "")
-    fin = _parse_financial(_require_mapping(data.get("financial", {}), "financial"))
-    costs = _parse_costs(_require_mapping(data.get("costs", {}), "costs"))
-    uncertain = _parse_uncertainty(
-        _require_mapping(data.get("uncertainty", {}), "uncertainty"), costs
-    )
-    ga = _parse_solver(_require_mapping(data.get("ga", {}), "ga"), GaConfig, _GA_KEYS, "ga")
-    sa = _parse_solver(_require_mapping(data.get("sa", {}), "sa"), SaConfig, _SA_KEYS, "sa")
+    fin = _parse_section(data.get("financial", {}), "financial", _FINANCIAL_KEYS, FinancialParams())
+    costs = _parse_costs(data.get("costs", {}))
+    uncertain = _parse_uncertainty(data.get("uncertainty", {}), costs)
+    ga = _parse_section(data.get("ga", {}), "ga", _GA_KEYS, GaConfig())
+    sa = _parse_section(data.get("sa", {}), "sa", _SA_KEYS, SaConfig())
     benchmarks = (
         _parse_benchmarks(data["benchmarks"])
         if "benchmarks" in data
         else BenchmarkTable(entries=SAMPLE_BENCHMARKS)
     )
-    kwargs = {}
-    if "penalty_weight" in data:
-        kwargs["penalty_weight"] = _number(data["penalty_weight"], "penalty_weight")
-    if "seed" in data:
-        kwargs["seed"] = _integer(data["seed"], "seed")
-    if "threads" in data:
-        kwargs["threads"] = _integer(data["threads"], "threads")
-    if "output_dir" in data:
-        if not isinstance(data["output_dir"], str):
-            raise ConfigError("output_dir must be a string")
-        kwargs["output_dir"] = data["output_dir"]
-    if "notes" in data:
-        if not isinstance(data["notes"], str):
-            raise ConfigError("notes must be a string")
-        kwargs["notes"] = data["notes"]
     return StudyConfig(
-        costs=costs, fin=fin, uncertain=uncertain, ga=ga, sa=sa,
-        benchmarks=benchmarks, **kwargs,
+        costs=costs, fin=fin, uncertain=uncertain, ga=ga, sa=sa, benchmarks=benchmarks,
+        **_read_keys(data, _SCALAR_KEYS, StudyConfig, ""),
     )
 
 
@@ -330,21 +287,24 @@ def load_config(path: Optional[str]) -> StudyConfig:
         return StudyConfig()
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle, parse_constant=_JsonConstant)
+            data = json.load(handle, parse_constant=_JsonConstant, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(data)
 
 
+def _image(obj, keys: dict) -> dict:
+    return {key: getattr(obj, attr) for key, attr in keys.items()}
+
+
 def resolved_dict(config: StudyConfig) -> dict:
-    """Canonical, JSON-ready image of a resolved configuration."""
+    """Canonical, JSON-ready image of a resolved configuration; it reads back
+    through :func:`parse_config` to the same configuration."""
     return {
-        "financial": {
-            key: getattr(config.fin, attr) for key, attr in _FINANCIAL_KEYS.items()
-        },
-        "costs": {key: getattr(config.costs, key) for key in CostInputs.__dataclass_fields__},
+        "financial": _image(config.fin, _FINANCIAL_KEYS),
+        "costs": _image(config.costs, _COST_KEYS),
         "uncertainty": {
             p.name: {
                 "pdf": p.pdf.kind,
@@ -356,14 +316,10 @@ def resolved_dict(config: StudyConfig) -> dict:
             }
             for p in config.uncertain
         },
-        "ga": {key: getattr(config.ga, key) for key in _GA_KEYS},
-        "sa": {key: getattr(config.sa, key) for key in _SA_KEYS},
+        "ga": _image(config.ga, _GA_KEYS),
+        "sa": _image(config.sa, _SA_KEYS),
         "benchmarks": [{"name": n, "lcoe": v} for n, v in config.benchmarks.entries],
-        "penalty_weight": config.penalty_weight,
-        "seed": config.seed,
-        "threads": config.threads,
-        "output_dir": config.output_dir,
-        "notes": config.notes,
+        **_image(config, _SCALAR_KEYS),
     }
 
 

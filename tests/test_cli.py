@@ -5,6 +5,7 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,54 @@ LIGHT_SOLVERS = {
     "ga": {"population": 30, "generations": 40, "stall_generations": 20, "restarts": 2},
     "sa": {"steps": 40, "moves_per_step": 10, "restarts": 2},
 }
+
+
+SAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "config.sample.json"
+
+DESIGN = "p=19.13,xp=5,xt=0.2913,t=6.24,db=30"
+
+
+def every_key_changed():
+    """A valid config file that sets every key to a value other than its default."""
+    uncertainty = {}
+    for name, spec in resolved_dict(StudyConfig())["uncertainty"].items():
+        low, high = 0.9 * spec["min"], 1.1 * spec["max"]
+        nominal = 0.4 * low + 0.6 * high
+        triangular = spec["pdf"] == "uniform"
+        uncertainty[name] = {
+            "pdf": "triangular" if triangular else "uniform",
+            "min": low, "max": high, "nominal": nominal,
+            "mode": 0.5 * (low + high) if triangular else None,
+            "grid_points": 50,
+        }
+    return {
+        "financial": {
+            "discount_rate": 0.06, "inflation_rate": 0.03, "lifetime_years": 25.0,
+            "capacity_factor": 0.9, "efficiency": 0.33, "ptc_rate": 20.0, "ptc_years": 8.0,
+            "feed_assay": 0.72, "conversion_loss": 0.01, "downtime_years": 0.4,
+            "downtime_model": False, "inflation_mode": "escalated",
+        },
+        "costs": {
+            "occ": 3300.0, "n_fte": 6.0, "s_fte": 160_000.0, "fom": 550_000.0, "vom": 2.2,
+            "c_yc": 110.0, "c_conv": 7.0, "c_swu": 170.0, "c_fab": 550.0, "c_spent": 1.5,
+            "c_dec": 8000.0,
+        },
+        "uncertainty": uncertainty,
+        "ga": {
+            "population": 40, "generations": 30, "crossover_rate": 0.7, "mutation_rate": 0.2,
+            "mutation_scale": 0.05, "elite_count": 4, "stall_generations": 10, "restarts": 3,
+        },
+        "sa": {
+            "initial_temp": 5.0, "cooling_rate": 0.9, "steps": 30, "moves_per_step": 10,
+            "step_scale": 0.2, "restarts": 2,
+        },
+        "benchmarks": [{"name": "some tech", "lcoe": 70.0}],
+        "penalty_weight": 0.1,
+        "seed": 5,
+        "threads": 2,
+        "output_dir": "elsewhere",
+        "notes": "every key changed",
+    }
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -86,6 +135,38 @@ class TestDefaults:
 
     def test_missing_path_equals_defaults(self):
         assert resolved_dict(load_config(None)) == resolved_dict(StudyConfig())
+
+    def test_every_key_changed_payload_differs_everywhere(self):
+        default = resolved_dict(StudyConfig())
+        image = resolved_dict(parse_config(every_key_changed()))
+        assert image.keys() == default.keys()
+        for key in image:
+            assert image[key] != default[key], key
+        for section in ("financial", "costs", "uncertainty", "ga", "sa"):
+            assert image[section].keys() == default[section].keys()
+            for key in image[section]:
+                assert image[section][key] != default[section][key], f"{section}.{key}"
+
+    @pytest.mark.parametrize("source", ["default", "sample", "every-key"])
+    def test_resolved_image_reads_back(self, source):
+        config = {
+            "default": StudyConfig,
+            "sample": lambda: load_config(str(SAMPLE_CONFIG)),
+            "every-key": lambda: parse_config(every_key_changed()),
+        }[source]()
+        image = resolved_dict(config)
+        assert resolved_dict(parse_config(json.loads(json.dumps(image)))) == image
+
+    def test_sample_spells_out_every_default(self):
+        sample = json.loads(SAMPLE_CONFIG.read_text())
+        default = resolved_dict(StudyConfig())
+        assert sample.keys() == default.keys()
+        for section in ("financial", "costs", "uncertainty", "ga", "sa"):
+            assert sample[section].keys() == default[section].keys(), section
+        image = resolved_dict(load_config(str(SAMPLE_CONFIG)))
+        for key in ("notes", "benchmarks"):
+            del image[key], default[key]
+        assert image == default
 
 
 def typed_keys():
@@ -173,6 +254,34 @@ class TestStrictParsing:
         occ = next(p for p in config.uncertain if p.name == "occ")
         assert (occ.pdf.min, occ.nominal) == (3500.0, 3600.0)
 
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"notes": "\xff"}')
+        with pytest.raises(ConfigError, match="utf-8"):
+            load_config(str(config))
+        code = main(["lcoe", "--config", str(config), "--design", DESIGN,
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            ('{"seed": 1, "ga": {"restarts": 2}, "seed": 7}', "seed"),
+            ('{"ga": {"restarts": 2, "population": 30, "restarts": 1}}', "restarts"),
+        ],
+        ids=["top-level", "nested"],
+    )
+    def test_repeated_key_exits_2_naming_it(self, tmp_path, capsys, text, key):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        with pytest.raises(ConfigError, match=f"'{key}' is given more than once"):
+            load_config(str(config))
+        code = main(["lcoe", "--config", str(config), "--design", DESIGN,
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"'{key}'" in capsys.readouterr().err
+
     def test_malformed_json_mentions_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"seed": 1,,}')
@@ -256,6 +365,18 @@ class TestCliCommands:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["command"] == "lcoe"
         assert manifest["config"]["financial"]["downtime_model"] is False
+
+    @pytest.mark.parametrize("payload", [{}, every_key_changed()], ids=["default", "every-key"])
+    def test_manifest_config_reruns_to_the_same_hash(self, tmp_path, payload):
+        first, second = tmp_path / "first", tmp_path / "second"
+        argv = ["lcoe", "--design", DESIGN, "--config", write_config(tmp_path, payload)]
+        assert main(argv + ["--out", str(first)]) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        rerun = write_config(tmp_path, manifest["config"], name="rerun.json")
+        assert main(["lcoe", "--design", DESIGN, "--config", rerun, "--out", str(second)]) == 0
+        again = json.loads((second / "manifest.json").read_text())
+        assert again["config_sha256"] == manifest["config_sha256"]
+        assert again["config"] == {**manifest["config"], "output_dir": str(second)}
 
     def test_lcoe_bad_design_exits_2(self, tmp_path, capsys):
         code = main(["lcoe", "--design", "p=19.13", "--out", str(tmp_path / "o")])
