@@ -147,14 +147,14 @@ class TestDefaults:
             for key in image[section]:
                 assert image[section][key] != default[section][key], f"{section}.{key}"
 
-    @pytest.mark.parametrize("source", ["default", "sample", "every-key"])
-    def test_resolved_image_reads_back(self, source):
-        config = {
-            "default": StudyConfig,
-            "sample": lambda: load_config(str(SAMPLE_CONFIG)),
-            "every-key": lambda: parse_config(every_key_changed()),
-        }[source]()
-        image = resolved_dict(config)
+    @pytest.mark.parametrize(
+        "make",
+        [StudyConfig, lambda: load_config(str(SAMPLE_CONFIG)),
+         lambda: parse_config(every_key_changed())],
+        ids=["default", "sample", "every-key"],
+    )
+    def test_resolved_image_reads_back(self, make):
+        image = resolved_dict(make())
         assert resolved_dict(parse_config(json.loads(json.dumps(image)))) == image
 
     def test_sample_spells_out_every_default(self):
