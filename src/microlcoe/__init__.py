@@ -28,7 +28,6 @@ from .optimize import (
     OptimizationResult,
     SaConfig,
     ga_minimize,
-    multi_restart_best,
     optimize_design,
     penalized_objective,
     sa_minimize,
@@ -67,7 +66,6 @@ __all__ = [
     "generate_study",
     "lcoe_breakdown",
     "load_config",
-    "multi_restart_best",
     "optimize_design",
     "parameter_grid",
     "pdf_density",

@@ -35,7 +35,6 @@ from .optimize import (
 )
 from .rng import STREAM_OPTIMIZE, STREAM_SWEEP, SeedLike, seed_path
 from .uncertainty import (
-    MODE_GROUPS,
     UncertainParameter,
     default_uncertain_parameters,
     generate_study,
@@ -196,9 +195,8 @@ def run_uncertainty_study(
 
     Results are assembled in scenario-id order and are a pure function of the
     arguments; ``threads`` only fans the optimizations out over processes.
+    Sampling rejects an unknown ``mode`` before any search.
     """
-    if mode not in MODE_GROUPS:
-        raise ValueError(f"mode must be one of {tuple(MODE_GROUPS)}")
     if params is None:
         params = default_uncertain_parameters(base_costs)
     ga_config = ga_config if ga_config is not None else GaConfig()

@@ -41,7 +41,7 @@ from .analysis import (
     write_study_stats_csv,
 )
 from .config import ConfigError, StudyConfig, config_hash, load_config, resolved_dict
-from .costs import ReactorDesign, lcoe_breakdown
+from .costs import INFLATION_MODES, ReactorDesign, lcoe_breakdown
 from .optimize import EvaluationError, optimize_design
 from .uncertainty import STUDY_MODES
 
@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="couple refueling downtime into the capacity factor",
     )
     common.add_argument(
-        "--inflation-mode", choices=("real", "escalated"), dest="inflation_mode",
+        "--inflation-mode", choices=INFLATION_MODES, dest="inflation_mode",
         help="discounting convention",
     )
 
@@ -144,7 +144,10 @@ def _apply_overrides(config: StudyConfig, args: argparse.Namespace) -> StudyConf
     if args.downtime is not None:
         fin = replace(fin, downtime_model=(args.downtime == "on"))
     if args.inflation_mode is not None:
-        fin = replace(fin, inflation_mode=args.inflation_mode)
+        try:
+            fin = replace(fin, inflation_mode=args.inflation_mode)
+        except ValueError as exc:  # an inflation rate the escalated mode cannot compound
+            raise ConfigError(f"--inflation-mode {args.inflation_mode}: {exc}") from exc
     updates = {"fin": fin}
     if args.seed is not None:
         updates["seed"] = args.seed

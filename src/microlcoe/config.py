@@ -25,9 +25,9 @@ from .optimize import DEFAULT_PENALTY_WEIGHT, GaConfig, SaConfig
 from .uncertainty import (
     MAX_GRID_POINTS,
     PDF_KINDS,
+    STOCK_UNCERTAINTY,
     Pdf,
     UncertainParameter,
-    default_uncertain_parameters,
 )
 
 __all__ = ["ConfigError", "StudyConfig", "load_config", "resolved_dict", "config_hash"]
@@ -70,9 +70,7 @@ class StudyConfig:
 
     def __post_init__(self):
         if not self.uncertain:
-            object.__setattr__(
-                self, "uncertain", tuple(default_uncertain_parameters(self.costs))
-            )
+            object.__setattr__(self, "uncertain", _parse_uncertainty({}, self.costs))
         if not 0.0 <= self.penalty_weight < math.inf:
             raise ConfigError("penalty_weight must be finite and >= 0")
         if self.threads < 1:
@@ -200,32 +198,31 @@ def _parse_costs(section) -> CostInputs:
 
 
 def _parse_uncertainty(section, costs: CostInputs) -> tuple:
-    defaults = {p.name: p for p in default_uncertain_parameters(costs)}
-    _reject_unknown(_require_mapping(section, "uncertainty"), defaults, "uncertainty")
+    """Each uncertain parameter built once, from its ``uncertainty`` spec with
+    the stock table and ``costs`` as fallbacks. A nominal outside its range
+    names the section that set the range, else the cost."""
+    _reject_unknown(_require_mapping(section, "uncertainty"), STOCK_UNCERTAINTY, "uncertainty")
     params = []
-    for name, stock in defaults.items():
-        if name not in section:
-            params.append(stock)
-            continue
-        path = f"uncertainty.{name}"
-        spec = _require_mapping(section[name], path)
+    for name, (stock_kind, stock_min, stock_max) in STOCK_UNCERTAINTY.items():
+        path = f"uncertainty.{name}" if name in section else f"costs.{name}"
+        spec = _require_mapping(section.get(name, {}), path)
         _reject_unknown(spec, _UNCERTAIN_KEYS, path)
 
         def get(key, default):
             return _read(spec[key], default, f"{path}.{key}") if key in spec else default
 
-        kind = spec.get("pdf", stock.pdf.kind)
+        kind = spec.get("pdf", stock_kind)
         if kind not in PDF_KINDS:
             raise ConfigError(f"{path}.pdf must be one of {PDF_KINDS}")
-        low, high = get("min", stock.pdf.min), get("max", stock.pdf.max)
-        nominal = get("nominal", stock.nominal)
+        low, high = get("min", stock_min), get("max", stock_max)
+        nominal = get("nominal", float(getattr(costs, name)))
         if kind == "triangular":
             mode = get("mode", nominal)
         elif spec.get("mode") is not None:  # resolved_dict writes a uniform mode as null
             raise ConfigError(f"{path}.mode is only valid for triangular pdfs")
         else:
             mode = None
-        grid_points = get("grid_points", stock.grid_points)
+        grid_points = get("grid_points", UncertainParameter.grid_points)
         if not 2 <= grid_points <= MAX_GRID_POINTS:
             raise ConfigError(f"{path}.grid_points must lie in [2, {MAX_GRID_POINTS}]")
         try:

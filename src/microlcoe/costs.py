@@ -31,6 +31,8 @@ DESIGN_BOUNDS = {
 
 INFLATION_MODES = ("real", "escalated")
 
+_LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
+
 __all__ = [
     "HOURS_PER_YEAR",
     "LB_U3O8_PER_KG_U",
@@ -161,6 +163,17 @@ class FinancialParams:
             raise ValueError("downtime must be finite and >= 0")
         if self.inflation_mode not in INFLATION_MODES:
             raise ValueError(f"inflation_mode must be one of {INFLATION_MODES}")
+        # A finite rate can still compound past the float range, which makes
+        # the annuity factors NaN. The largest product they form, the CRF's
+        # rate * (1+rate)^n, stays below (1+rate)^(n+1); n runs up to the
+        # lifetime and to the longest refueling interval.
+        horizon = max(self.lt, DESIGN_BOUNDS["t_refuel"][1])
+        rates = {"discount rate r": self.r}
+        if self.inflation_mode == "escalated":
+            rates["nominal rate (1+r)(1+infl)-1"] = self.nominal_rate
+        for name, rate in rates.items():
+            if not (horizon + 1.0) * np.log1p(rate) < _LOG_FLOAT_MAX:
+                raise ValueError(f"{name} = {rate:g} overflows when compounded over {horizon:g} years")
 
     @property
     def nominal_rate(self) -> float:

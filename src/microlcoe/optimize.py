@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -52,7 +52,6 @@ __all__ = [
     "make_design_objective",
     "ga_minimize",
     "sa_minimize",
-    "multi_restart_best",
     "optimize_design",
 ]
 
@@ -402,31 +401,6 @@ def sa_minimize(
     )
 
 
-def multi_restart_best(
-    minimizer: Callable[[tuple], MinimizeResult],
-    restarts: int,
-    seed: SeedLike,
-) -> MinimizeResult:
-    """Run ``minimizer`` with sub-seeds ``(seed, restart_index)`` and keep the
-    best result; ties go to the lowest restart index."""
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    best: Optional[MinimizeResult] = None
-    bests = []
-    evaluations = 0
-    for index in range(restarts):
-        result = minimizer(seed_path(seed, STREAM_RESTART, index))
-        bests.append(result.fun)
-        evaluations += result.evaluations
-        if best is None or result.fun < best.fun:
-            best = result
-    assert best is not None
-    return MinimizeResult(
-        x=best.x, fun=best.fun, evaluations=evaluations,
-        history=best.history, restart_bests=bests,
-    )
-
-
 def optimize_design(
     costs: CostInputs,
     fin: FinancialParams,
@@ -440,21 +414,29 @@ def optimize_design(
     """Minimize the penalized levelized cost over the design box.
 
     ``method`` selects the solver ("ga" or "sa"); the number of restarts
-    comes from the matching config. Returns the winning design with its cost
-    breakdown, residual, and the best value of every restart.
+    comes from the matching config. Restart ``i`` of either solver draws from
+    ``seed_path(seed, STREAM_RESTART, i)``, and the best restart wins, ties
+    to the lowest index. Returns the winning design with its cost breakdown,
+    residual, and the best value of every restart.
     """
-    objective = make_design_objective(costs, fin, penalty_weight)
-    bounds = bounds_arrays()
     if method == "ga":
         config = ga_config if ga_config is not None else GaConfig()
-        seeds = [seed_path(seed, STREAM_RESTART, i) for i in range(config.restarts)]
-        raw = ga_minimize(objective, bounds, config, seeds)
     elif method == "sa":
         config = sa_config if sa_config is not None else SaConfig()
-        runner = lambda s: sa_minimize(objective, bounds, config, s)
-        raw = multi_restart_best(runner, config.restarts, seed)
     else:
         raise ValueError("method must be 'ga' or 'sa'")
+    objective = make_design_objective(costs, fin, penalty_weight)
+    bounds = bounds_arrays()
+    seeds = [seed_path(seed, STREAM_RESTART, i) for i in range(config.restarts)]
+    if method == "ga":
+        raw = ga_minimize(objective, bounds, config, seeds)
+    else:
+        runs = [sa_minimize(objective, bounds, config, s) for s in seeds]
+        best = min(runs, key=lambda run: run.fun)
+        raw = MinimizeResult(
+            x=best.x, fun=best.fun, evaluations=sum(run.evaluations for run in runs),
+            history=best.history, restart_bests=[run.fun for run in runs],
+        )
 
     design = ReactorDesign.from_array(raw.x)
     terms = compile_lcoe(costs, fin)(

@@ -20,17 +20,31 @@ from .rng import STREAM_SCENARIO, SeedLike, make_rng
 
 PDF_KINDS = ("uniform", "triangular")
 
-# Which cost parameters vary in each study mode. "all" is the union; "none"
-# pins everything at nominal.
+# The stock density of each uncertain cost, name -> (pdf kind, min, max), in
+# the order of the study CSV's columns. A triangular mode sits at the nominal.
+STOCK_UNCERTAINTY = {
+    "occ": ("uniform", 2500.0, 4000.0),
+    "n_fte": ("uniform", 3.0, 10.0),
+    "s_fte": ("uniform", 120_000.0, 225_000.0),
+    "fom": ("uniform", 400_000.0, 750_000.0),
+    "vom": ("uniform", 2.0, 2.5),
+    "c_yc": ("triangular", 84.0, 156.0),
+    "c_conv": ("uniform", 4.0, 10.0),
+    "c_swu": ("uniform", 125.0, 240.0),
+    "c_fab": ("triangular", 400.0, 750.0),
+}
+
+# Which cost parameters vary in each study mode. "all" varies every
+# uncertain cost; "none" pins everything at nominal.
 MODE_GROUPS = {
-    "none": (),
+    "all": tuple(STOCK_UNCERTAINTY),
     "occ": ("occ",),
     "om": ("n_fte", "s_fte", "fom", "vom"),
     "fuel": ("c_yc", "c_conv", "c_swu", "c_fab"),
+    "none": (),
 }
-MODE_GROUPS["all"] = MODE_GROUPS["occ"] + MODE_GROUPS["om"] + MODE_GROUPS["fuel"]
 
-STUDY_MODES = ("all", "occ", "om", "fuel", "none")
+STUDY_MODES = tuple(MODE_GROUPS)
 
 # Finest value grid a parameter may have. Sampling walks the whole grid per
 # draw, so a larger one only costs memory and time.
@@ -40,6 +54,7 @@ __all__ = [
     "PDF_KINDS",
     "MODE_GROUPS",
     "STUDY_MODES",
+    "STOCK_UNCERTAINTY",
     "MAX_GRID_POINTS",
     "Pdf",
     "UncertainParameter",
@@ -200,33 +215,16 @@ def generate_study(
 
 
 def default_uncertain_parameters(base: CostInputs = DEFAULT_COSTS) -> list[UncertainParameter]:
-    """The nine uncertain cost parameters with their stock density models.
+    """The nine uncertain cost parameters of :data:`STOCK_UNCERTAINTY`.
 
     Nominals follow ``base`` so a re-priced configuration stays internally
-    consistent; uranium and fabrication are triangular with the mode at the
-    nominal, everything else uniform.
+    consistent; a triangular mode sits at the nominal. A ``base`` cost
+    outside its stock range raises ``ValueError``.
     """
-    uniform = {
-        "occ": (2500.0, 4000.0),
-        "n_fte": (3.0, 10.0),
-        "s_fte": (120_000.0, 225_000.0),
-        "fom": (400_000.0, 750_000.0),
-        "vom": (2.0, 2.5),
-        "c_conv": (4.0, 10.0),
-        "c_swu": (125.0, 240.0),
-    }
-    triangular = {
-        "c_yc": (84.0, 156.0),
-        "c_fab": (400.0, 750.0),
-    }
     params = []
-    for name in ("occ", "n_fte", "s_fte", "fom", "vom", "c_yc", "c_conv", "c_swu", "c_fab"):
+    for name, (kind, low, high) in STOCK_UNCERTAINTY.items():
         nominal = float(getattr(base, name))
-        if name in uniform:
-            low, high = uniform[name]
-            pdf = Pdf(kind="uniform", min=low, max=high)
-        else:
-            low, high = triangular[name]
-            pdf = Pdf(kind="triangular", min=low, max=high, mode=nominal)
+        mode = nominal if kind == "triangular" else None
+        pdf = Pdf(kind=kind, min=low, max=high, mode=mode)
         params.append(UncertainParameter(name=name, pdf=pdf, nominal=nominal))
     return params

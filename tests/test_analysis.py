@@ -5,6 +5,7 @@ import csv
 import json
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -181,8 +182,13 @@ class TestRunStudy:
         assert str(error) == "scenario 7 failed: synthetic failure"
         assert str(error.cause) == "synthetic failure"
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
+    def test_unknown_mode_rejected(self, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("a search ran for an unknown mode")
+
+        monkeypatch.setattr(analysis, "optimize_design", no_search)
+        message = re.escape("mode must be one of ('all', 'occ', 'om', 'fuel', 'none')")
+        with pytest.raises(ValueError, match=message):
             run_uncertainty_study("everything", n=2, seed=0, ga_config=LIGHT_GA)
 
 

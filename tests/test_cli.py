@@ -19,7 +19,7 @@ from microlcoe.config import (
     resolved_dict,
 )
 from microlcoe.costs import LB_U3O8_PER_KG_U
-from microlcoe.uncertainty import generate_study
+from microlcoe.uncertainty import STOCK_UNCERTAINTY, generate_study
 
 LIGHT_SOLVERS = {
     "ga": {"population": 30, "generations": 40, "stall_generations": 20, "restarts": 2},
@@ -405,6 +405,40 @@ class TestCliCommands:
                      "--out", str(tmp_path / "o")])
         assert code == 2
         assert "uncertainty.c_swu.grid_points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", list(STOCK_UNCERTAINTY))
+    def test_cost_below_its_stock_range_exits_2_naming_it(self, tmp_path, capsys, name):
+        _, low, _ = STOCK_UNCERTAINTY[name]
+        path = write_config(tmp_path, {"costs": {name: 0.5 * low}})
+        code = main(["lcoe", "--config", path, "--design", DESIGN, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"config error: costs.{name}: " in capsys.readouterr().err
+
+    def test_range_override_repairs_a_repriced_cost(self, tmp_path, capsys):
+        payload = {"costs": {"occ": 1500.0}, "uncertainty": {"occ": {"min": 1000.0}}}
+        code = main(["lcoe", "--config", write_config(tmp_path, payload), "--design", DESIGN,
+                     "--out", str(tmp_path / "o")])
+        assert code == 0
+        occ = parse_config(payload).uncertain[0]
+        assert (occ.name, occ.pdf.min, occ.pdf.max, occ.nominal) == ("occ", 1000.0, 4000.0, 1500.0)
+
+    @pytest.mark.parametrize(
+        "financial",
+        [{"discount_rate": 1e308}, {"inflation_rate": 1e308, "inflation_mode": "escalated"}],
+    )
+    def test_rate_that_overflows_compounding_exits_2(self, tmp_path, capsys, financial):
+        path = write_config(tmp_path, {"financial": financial})
+        code = main(["optimize", "--config", path, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "config error: financial: " in capsys.readouterr().err
+
+    def test_inflation_mode_flag_that_overflows_compounding_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"financial": {"inflation_rate": 1e308}})
+        argv = ["lcoe", "--config", path, "--design", DESIGN, "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main([*argv, "--inflation-mode", "escalated"]) == 2
+        assert "config error: --inflation-mode escalated: " in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("threads", ["1", "2"])

@@ -1,6 +1,9 @@
 """Annualization factors and the levelized-cost assembly against hand-derived
 oracle values, plus the module's algebraic invariants."""
 
+import itertools
+import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -9,10 +12,13 @@ import pytest
 from microlcoe.costs import (
     DEFAULT_COSTS,
     DEFAULT_FINANCE,
+    DESIGN_BOUNDS,
     CostInputs,
     FinancialParams,
     ReactorDesign,
+    bounds_arrays,
     capital_recovery_factor,
+    compile_lcoe,
     effective_capacity_factor,
     lcoe_breakdown,
     present_value_annuity_factor,
@@ -220,6 +226,35 @@ class TestFinancialParamsValidation:
     def test_rejects_non_finite_and_out_of_range(self, field, value):
         with pytest.raises(ValueError):
             replace(DEFAULT_FINANCE, **{field: value})
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"r": 1e308},
+            {"r": 1e15},  # (1+r)^20 is finite, the CRF's r * (1+r)^20 is not
+            {"r": 5e28, "lt": 5.0, "t_ptc": 5.0},  # over the longest refueling interval
+            {"infl": 1e308, "inflation_mode": "escalated"},
+        ],
+    )
+    def test_rate_that_overflows_compounding_rejected(self, fields):
+        with pytest.raises(ValueError, match="overflows when compounded"):
+            replace(DEFAULT_FINANCE, **fields)
+
+    def test_real_mode_ignores_the_inflation_rate(self):
+        assert replace(DEFAULT_FINANCE, infl=1e308).inflation_mode == "real"
+
+    @pytest.mark.parametrize("mode", ["real", "escalated"])
+    @pytest.mark.parametrize("lt", [5.0, 20.0])
+    def test_largest_accepted_rate_keeps_every_term_finite(self, lt, mode):
+        horizon = max(lt, DESIGN_BOUNDS["t_refuel"][1])
+        r = math.expm1(math.log(sys.float_info.max) / (horizon + 1.0)) * (1.0 - 1e-12)
+        fin = FinancialParams(r=r, infl=0.0, lt=lt, t_ptc=min(10.0, lt), inflation_mode=mode)
+        with pytest.raises(ValueError, match="overflows when compounded"):
+            replace(fin, r=r * (1.0 + 1e-9))
+        corners = np.array(list(itertools.product(*zip(*bounds_arrays()))))
+        with np.errstate(all="raise"):
+            terms = compile_lcoe(DEFAULT_COSTS, fin)(*corners.T)
+        assert all(np.isfinite(term).all() for term in terms)
 
 
 class TestLcoeBreakdown:

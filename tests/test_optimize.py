@@ -33,10 +33,10 @@ from microlcoe.optimize import (
     STALL_IMPROVEMENT,
     EvaluationError,
     GaConfig,
+    MinimizeResult,
     SaConfig,
     ga_minimize,
     make_design_objective,
-    multi_restart_best,
     optimize_design,
     penalized_objective,
     sa_minimize,
@@ -420,39 +420,60 @@ class TestSaMinimize:
 
 
 class TestMultiRestart:
+    """optimize_design's SA restarts: seeds, winner, prefix and ties."""
+
+    SA_ONE = SaConfig(steps=4, moves_per_step=5, restarts=1)
+
     def test_single_restart_equals_sub_seed_zero(self):
-        runner = lambda s: ga_minimize(sphere, BOUNDS, QUICK_GA, [s])
-        driver = multi_restart_best(runner, 1, 21)
-        direct = ga_minimize(sphere, BOUNDS, QUICK_GA, [seed_path(21, STREAM_RESTART, 0)])
-        assert np.array_equal(driver.x, direct.x)
-        assert driver.fun == direct.fun
+        result = optimize_design(
+            DEFAULT_COSTS, DEFAULT_FINANCE, method="sa", sa_config=self.SA_ONE, seed=21
+        )
+        objective = make_design_objective(DEFAULT_COSTS, DEFAULT_FINANCE)
+        direct = sa_minimize(objective, BOUNDS, self.SA_ONE, seed_path(21, 2, 0))
+        assert STREAM_RESTART == 2
+        assert np.array_equal(result.best_design.as_array(), direct.x)
+        assert result.restart_bests == (direct.fun,)
+        assert result.evaluations == direct.evaluations
 
     def test_minimum_of_restart_bests(self):
-        runner = lambda s: ga_minimize(sphere, BOUNDS, QUICK_GA, [s])
-        result = multi_restart_best(runner, 8, 13)
+        config = replace(self.SA_ONE, restarts=8)
+        result = optimize_design(
+            DEFAULT_COSTS, DEFAULT_FINANCE, method="sa", sa_config=config, seed=13
+        )
         assert len(result.restart_bests) == 8
-        assert result.fun == min(result.restart_bests)
+        assert len(set(result.restart_bests)) > 1
+        assert result.objective == pytest.approx(min(result.restart_bests), rel=1e-12)
+        objective = make_design_objective(DEFAULT_COSTS, DEFAULT_FINANCE)
+        winner = int(np.argmin(result.restart_bests))
+        direct = sa_minimize(objective, BOUNDS, config, seed_path(13, STREAM_RESTART, winner))
+        assert np.array_equal(result.best_design.as_array(), direct.x)
 
     def test_prefix_property(self):
-        runner = lambda s: sa_minimize(sphere, BOUNDS, SaConfig(steps=0), s)
-        five = multi_restart_best(runner, 5, 2)
-        twenty = multi_restart_best(runner, 20, 2)
-        assert twenty.restart_bests[:5] == five.restart_bests
+        def bests(restarts):
+            config = SaConfig(steps=0, restarts=restarts)
+            return optimize_design(
+                DEFAULT_COSTS, DEFAULT_FINANCE, method="sa", sa_config=config, seed=2
+            ).restart_bests
 
-    def test_tie_goes_to_first_restart(self):
+        assert bests(20)[:5] == bests(5)
+
+    def test_tie_goes_to_first_restart(self, monkeypatch):
         calls = []
 
-        def flat_runner(s):
-            result = sa_minimize(lambda x: np.zeros(len(x)), BOUNDS, SaConfig(steps=0), s)
-            calls.append(result.x.copy())
-            return result
+        def flat_sa(objective, bounds, config, seed):
+            x = BOUNDS[0] + (len(calls) + 1) / 10.0 * SPAN
+            calls.append((seed, x))
+            return MinimizeResult(x=x, fun=0.0, evaluations=1, restart_bests=[0.0])
 
-        result = multi_restart_best(flat_runner, 4, 0)
-        assert np.array_equal(result.x, calls[0])
-
-    def test_restart_count_validated(self):
-        with pytest.raises(ValueError):
-            multi_restart_best(lambda s: None, 0, 0)
+        monkeypatch.setattr(microlcoe.optimize, "sa_minimize", flat_sa)
+        result = optimize_design(
+            DEFAULT_COSTS, DEFAULT_FINANCE, method="sa",
+            sa_config=SaConfig(restarts=4), seed=0,
+        )
+        assert [seed for seed, _ in calls] == [seed_path(0, STREAM_RESTART, i) for i in range(4)]
+        assert np.array_equal(result.best_design.as_array(), calls[0][1])
+        assert result.restart_bests == (0.0,) * 4
+        assert result.evaluations == 4
 
 
 class TestOptimizeDesign:

@@ -2,6 +2,8 @@
 exactness of the grid lattice, distributional checks on large draw counts,
 group masking, and the determinism contracts."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,9 @@ from microlcoe.rng import make_rng
 from microlcoe.uncertainty import (
     MAX_GRID_POINTS,
     MODE_GROUPS,
+    STUDY_MODES,
     Pdf,
+    Scenario,
     UncertainParameter,
     default_uncertain_parameters,
     generate_study,
@@ -209,8 +213,12 @@ class TestSampleScenario:
         assert scenario.costs.c_dec == DEFAULT_COSTS.c_dec
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
+        message = re.escape("mode must be one of ('all', 'occ', 'om', 'fuel', 'none')")
+        assert STUDY_MODES == tuple(MODE_GROUPS) == ("all", "occ", "om", "fuel", "none")
+        with pytest.raises(ValueError, match=message):
             sample_scenario(default_uncertain_parameters(), "everything", 0, make_rng(0))
+        with pytest.raises(ValueError, match=message):
+            Scenario(id=0, mode="everything", costs=DEFAULT_COSTS, grid_indices={})
 
 
 class TestGenerateStudy:
