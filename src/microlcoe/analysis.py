@@ -199,7 +199,6 @@ def run_uncertainty_study(
     """
     if params is None:
         params = default_uncertain_parameters(base_costs)
-    ga_config = ga_config if ga_config is not None else GaConfig()
     scenarios = generate_study(params, mode, n=n, seed=seed, base=base_costs)
     tasks = [(s, fin, ga_config, penalty_weight, seed) for s in scenarios]
 
@@ -258,22 +257,19 @@ def sensitivity_sweep(
     ga_config: Optional[GaConfig] = None,
     penalty_weight: float = DEFAULT_PENALTY_WEIGHT,
     seed: SeedLike = 0,
-    reoptimize: bool = True,
     design: Optional[ReactorDesign] = None,
 ) -> list[SweepRow]:
     """Levelized cost as one financial assumption is swept.
 
-    ``reoptimize`` re-runs the design search at every value (the slower,
-    self-consistent choice); with it off, ``design`` is held fixed and only
+    Without a ``design`` the design search re-runs at every value (the
+    slower, self-consistent choice); a given ``design`` is held fixed and only
     re-costed, which isolates the direct effect of the parameter. Every value
     is checked before the first search.
     """
-    if not reoptimize and design is None:
-        raise ValueError("a fixed design is required when reoptimize is off")
     values = [float(v) for v in values]
     rows = []
     for index, (value, fin_i) in enumerate(zip(values, swept_params(parameter, values, fin))):
-        if reoptimize:
+        if design is None:
             result = optimize_design(
                 costs,
                 fin_i,

@@ -287,7 +287,7 @@ def _cmd_sweep(config: StudyConfig, args, argv) -> int:
         _SWEEP_CLI_PARAMS[args.param], values,
         costs=config.costs, fin=config.fin, ga_config=config.ga,
         penalty_weight=config.penalty_weight, seed=config.seed,
-        reoptimize=fixed is None, design=fixed,
+        design=fixed,
     )
     name = f"sensitivity_{args.param}.csv"
     write_sensitivity_csv(rows, Path(config.output_dir) / name)

@@ -22,13 +22,7 @@ from .costs import (
     LB_U3O8_PER_KG_U,
 )
 from .optimize import DEFAULT_PENALTY_WEIGHT, GaConfig, SaConfig
-from .uncertainty import (
-    MAX_GRID_POINTS,
-    PDF_KINDS,
-    STOCK_UNCERTAINTY,
-    Pdf,
-    UncertainParameter,
-)
+from .uncertainty import MAX_GRID_POINTS, STOCK_UNCERTAINTY, stock_parameter
 
 __all__ = ["ConfigError", "StudyConfig", "load_config", "resolved_dict", "config_hash"]
 
@@ -102,7 +96,8 @@ _SCALAR_KEYS = {  # penalty_weight, seed, threads, output_dir, notes
     f.name: f.name for f in fields(StudyConfig) if isinstance(f.default, (float, int, str))
 }
 
-_UNCERTAIN_KEYS = ("pdf", "min", "max", "mode", "nominal", "grid_points")
+# The keys of one ``uncertainty.<name>`` spec, each with a value of its type.
+_UNCERTAIN_LIKE = {"pdf": "", "min": 0.0, "max": 0.0, "mode": 0.0, "nominal": 0.0, "grid_points": 0}
 
 _TOP_KEYS = ("financial", "costs", "uncertainty", "ga", "sa", "benchmarks", *_SCALAR_KEYS)
 
@@ -119,23 +114,6 @@ def _reject_unknown(mapping: dict, allowed, path: str) -> None:
         raise ConfigError(f"unknown key {path}.{unknown[0]}" if path else f"unknown key {unknown[0]}")
 
 
-class _JsonConstant:
-    """A NaN, Infinity or -Infinity literal read from a config file.
-
-    ``json`` accepts these non-standard literals. Kept as their own type
-    instead of floats, they match no field type, so every field rejects
-    them with its dotted path.
-    """
-
-    __slots__ = ("text",)
-
-    def __init__(self, text: str):
-        self.text = text
-
-    def __str__(self) -> str:
-        return self.text
-
-
 def _unique_keys(pairs) -> dict:
     """JSON object hook that rejects a key given twice in one object."""
     mapping = {}
@@ -147,8 +125,6 @@ def _unique_keys(pairs) -> dict:
 
 
 def _number(value, path: str) -> float:
-    if isinstance(value, _JsonConstant):
-        raise ConfigError(f"{path} must be a finite number, not {value}")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path} must be a number")
     if not math.isfinite(value):
@@ -198,42 +174,25 @@ def _parse_costs(section) -> CostInputs:
 
 
 def _parse_uncertainty(section, costs: CostInputs) -> tuple:
-    """Each uncertain parameter built once, from its ``uncertainty`` spec with
-    the stock table and ``costs`` as fallbacks. A nominal outside its range
-    names the section that set the range, else the cost."""
+    """Each uncertain parameter built once by :func:`stock_parameter`, from the
+    keys its ``uncertainty`` spec gives. An error names the spec if the file
+    gives one, else the cost."""
     _reject_unknown(_require_mapping(section, "uncertainty"), STOCK_UNCERTAINTY, "uncertainty")
     params = []
-    for name, (stock_kind, stock_min, stock_max) in STOCK_UNCERTAINTY.items():
+    for name in STOCK_UNCERTAINTY:
         path = f"uncertainty.{name}" if name in section else f"costs.{name}"
         spec = _require_mapping(section.get(name, {}), path)
-        _reject_unknown(spec, _UNCERTAIN_KEYS, path)
-
-        def get(key, default):
-            return _read(spec[key], default, f"{path}.{key}") if key in spec else default
-
-        kind = spec.get("pdf", stock_kind)
-        if kind not in PDF_KINDS:
-            raise ConfigError(f"{path}.pdf must be one of {PDF_KINDS}")
-        low, high = get("min", stock_min), get("max", stock_max)
-        nominal = get("nominal", float(getattr(costs, name)))
-        if kind == "triangular":
-            mode = get("mode", nominal)
-        elif spec.get("mode") is not None:  # resolved_dict writes a uniform mode as null
-            raise ConfigError(f"{path}.mode is only valid for triangular pdfs")
-        else:
-            mode = None
-        grid_points = get("grid_points", UncertainParameter.grid_points)
-        if not 2 <= grid_points <= MAX_GRID_POINTS:
+        _reject_unknown(spec, _UNCERTAIN_LIKE, path)
+        overrides = {
+            # resolved_dict writes a uniform pdf's mode as null
+            key: None if key == "mode" and value is None
+            else _read(value, _UNCERTAIN_LIKE[key], f"{path}.{key}")
+            for key, value in spec.items()
+        }
+        if "grid_points" in overrides and not 2 <= overrides["grid_points"] <= MAX_GRID_POINTS:
             raise ConfigError(f"{path}.grid_points must lie in [2, {MAX_GRID_POINTS}]")
         try:
-            params.append(
-                UncertainParameter(
-                    name=name,
-                    pdf=Pdf(kind=kind, min=low, max=high, mode=mode),
-                    nominal=nominal,
-                    grid_points=grid_points,
-                )
-            )
+            params.append(stock_parameter(name, costs, **overrides))
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
     return tuple(params)
@@ -284,7 +243,7 @@ def load_config(path: Optional[str]) -> StudyConfig:
         return StudyConfig()
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle, parse_constant=_JsonConstant, object_pairs_hook=_unique_keys)
+            data = json.load(handle, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:

@@ -1,9 +1,11 @@
 """Annualization arithmetic and assembly of the levelized-cost objective.
 
 All monetary results are in dollars; levelized components in $/MWh. The
-functions are elementwise-polymorphic like :mod:`microlcoe.fuelcycle`, so a
-``ReactorDesign`` whose fields are equal-length numpy arrays yields a
-breakdown of arrays. Discount rates are plain fractions (0.05, not 5).
+cost chain that :func:`compile_lcoe` returns is elementwise-polymorphic like
+:mod:`microlcoe.fuelcycle`: it maps design columns, scalars or equal-length
+arrays, to cost terms, which is how the optimizer costs a whole population
+in one call. ``ReactorDesign`` and :func:`lcoe_breakdown` cost one point.
+Discount rates are plain fractions (0.05, not 5).
 """
 
 from __future__ import annotations
@@ -88,10 +90,7 @@ class ReactorDesign:
 
     @classmethod
     def from_array(cls, x) -> "ReactorDesign":
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return cls(*(float(v) for v in x))
-        return cls(*(x[:, j] for j in range(len(DESIGN_FIELDS))))
+        return cls(*(float(v) for v in np.asarray(x, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -195,6 +194,9 @@ class LcoeBreakdown:
     annual_energy: float  # MWh/yr
 
     def __post_init__(self):
+        for name in self.__dataclass_fields__:
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"lcoe component {name} is not finite")
         recomputed = (
             self.capital + self.om + self.fuel + self.spent
             + self.decommissioning - self.ptc_credit

@@ -64,6 +64,7 @@ __all__ = [
     "roulette_select",
     "sample_scenario",
     "generate_study",
+    "stock_parameter",
     "default_uncertain_parameters",
 ]
 
@@ -214,6 +215,22 @@ def generate_study(
     ]
 
 
+def stock_parameter(name: str, base: CostInputs = DEFAULT_COSTS, **overrides) -> UncertainParameter:
+    """The :data:`STOCK_UNCERTAINTY` entry ``name`` with any field overridden.
+
+    The keywords are the config keys ``pdf``, ``min``, ``max``, ``mode``,
+    ``nominal`` and ``grid_points``. The nominal defaults to ``base.<name>``,
+    a triangular mode to the nominal. An invalid result raises ``ValueError``,
+    an unknown keyword ``TypeError``.
+    """
+    kind, low, high = STOCK_UNCERTAINTY[name]
+    nominal = overrides.get("nominal", float(getattr(base, name)))
+    mode = nominal if overrides.get("pdf", kind) == "triangular" else None
+    spec = {"pdf": kind, "min": low, "max": high, "mode": mode, "nominal": nominal, **overrides}
+    pdf = Pdf(spec.pop("pdf"), spec.pop("min"), spec.pop("max"), spec.pop("mode"))
+    return UncertainParameter(name=name, pdf=pdf, **spec)
+
+
 def default_uncertain_parameters(base: CostInputs = DEFAULT_COSTS) -> list[UncertainParameter]:
     """The nine uncertain cost parameters of :data:`STOCK_UNCERTAINTY`.
 
@@ -221,10 +238,4 @@ def default_uncertain_parameters(base: CostInputs = DEFAULT_COSTS) -> list[Uncer
     consistent; a triangular mode sits at the nominal. A ``base`` cost
     outside its stock range raises ``ValueError``.
     """
-    params = []
-    for name, (kind, low, high) in STOCK_UNCERTAINTY.items():
-        nominal = float(getattr(base, name))
-        mode = nominal if kind == "triangular" else None
-        pdf = Pdf(kind=kind, min=low, max=high, mode=mode)
-        params.append(UncertainParameter(name=name, pdf=pdf, nominal=nominal))
-    return params
+    return [stock_parameter(name, base) for name in STOCK_UNCERTAINTY]

@@ -415,7 +415,7 @@ def test_criterion_8_sensitivity_directions():
     decreasing = all(a > b for a, b in zip(totals, totals[1:]))
 
     base = ReactorDesign(19.13, 5.0, 0.2913, 6.24, 30.0)
-    fixed = sensitivity_sweep("discount_rate", [0.03, 0.05], reoptimize=False, design=base)
+    fixed = sensitivity_sweep("discount_rate", [0.03, 0.05], design=base)
     predicted = fixed[1].breakdown.capital * (
         capital_recovery_factor(0.03, 20) / capital_recovery_factor(0.05, 20)
     )

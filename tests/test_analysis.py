@@ -194,15 +194,11 @@ class TestRunStudy:
 
 class TestSensitivitySweep:
     def test_fixed_design_fuel_halves_with_double_efficiency(self):
-        rows = sensitivity_sweep(
-            "efficiency", [0.35, 0.70], reoptimize=False, design=BASE_DESIGN
-        )
+        rows = sensitivity_sweep("efficiency", [0.35, 0.70], design=BASE_DESIGN)
         assert rows[1].breakdown.fuel == pytest.approx(rows[0].breakdown.fuel / 2.0, rel=1e-6)
 
     def test_fixed_design_capital_follows_crf_ratio(self):
-        rows = sensitivity_sweep(
-            "discount_rate", [0.03, 0.05], reoptimize=False, design=BASE_DESIGN
-        )
+        rows = sensitivity_sweep("discount_rate", [0.03, 0.05], design=BASE_DESIGN)
         from microlcoe.costs import capital_recovery_factor
 
         ratio = capital_recovery_factor(0.03, 20) / capital_recovery_factor(0.05, 20)
@@ -211,9 +207,7 @@ class TestSensitivitySweep:
         )
 
     def test_inflation_direction(self):
-        rows = sensitivity_sweep(
-            "inflation", [0.002, 0.02], reoptimize=False, design=BASE_DESIGN
-        )
+        rows = sensitivity_sweep("inflation", [0.002, 0.02], design=BASE_DESIGN)
         assert rows[0].breakdown.total < rows[1].breakdown.total
 
     def test_reoptimized_efficiency_monotone(self):
@@ -224,18 +218,12 @@ class TestSensitivitySweep:
         assert rows[0].reoptimized and rows[1].reoptimized
 
     def test_rows_in_input_order(self):
-        rows = sensitivity_sweep(
-            "efficiency", [0.50, 0.35], reoptimize=False, design=BASE_DESIGN
-        )
+        rows = sensitivity_sweep("efficiency", [0.50, 0.35], design=BASE_DESIGN)
         assert [r.value for r in rows] == [0.50, 0.35]
-
-    def test_fixed_mode_requires_design(self):
-        with pytest.raises(ValueError):
-            sensitivity_sweep("efficiency", [0.4], reoptimize=False)
 
     def test_unknown_parameter(self):
         with pytest.raises(ValueError):
-            sensitivity_sweep("fuel_price", [1.0], reoptimize=False, design=BASE_DESIGN)
+            sensitivity_sweep("fuel_price", [1.0], design=BASE_DESIGN)
 
     def test_bad_later_value_rejected_before_any_search(self, monkeypatch):
         def no_search(*args, **kwargs):
@@ -302,9 +290,7 @@ class TestOutputs:
         assert a.read_bytes() == b.read_bytes()
 
     def test_sensitivity_csv(self, tmp_path):
-        rows = sensitivity_sweep(
-            "efficiency", [0.35, 0.50], reoptimize=False, design=BASE_DESIGN
-        )
+        rows = sensitivity_sweep("efficiency", [0.35, 0.50], design=BASE_DESIGN)
         path = tmp_path / "sens.csv"
         write_sensitivity_csv(rows, path)
         with open(path, newline="") as handle:

@@ -5,6 +5,7 @@ import csv
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -18,8 +19,13 @@ from microlcoe.config import (
     parse_config,
     resolved_dict,
 )
-from microlcoe.costs import LB_U3O8_PER_KG_U
-from microlcoe.uncertainty import STOCK_UNCERTAINTY, generate_study
+from microlcoe.costs import DEFAULT_COSTS, LB_U3O8_PER_KG_U
+from microlcoe.uncertainty import (
+    STOCK_UNCERTAINTY,
+    default_uncertain_parameters,
+    generate_study,
+    stock_parameter,
+)
 
 LIGHT_SOLVERS = {
     "ga": {"population": 30, "generations": 40, "stall_generations": 20, "restarts": 2},
@@ -326,6 +332,46 @@ class TestStrictParsing:
             assert config_hash(parse_config(field)) == config_hash(StudyConfig())
 
 
+class TestUncertaintySpec:
+    @pytest.mark.parametrize(
+        "costs",
+        [DEFAULT_COSTS, replace(DEFAULT_COSTS, occ=3500.0, n_fte=8.0, c_yc=150.0, c_fab=400.0)],
+        ids=["stock", "repriced"],
+    )
+    def test_default_table_is_the_library_default(self, costs):
+        assert StudyConfig(costs=costs).uncertain == tuple(default_uncertain_parameters(costs))
+
+    @pytest.mark.parametrize(
+        "name,key,value",
+        [
+            ("occ", "pdf", "triangular"),
+            ("c_yc", "pdf", "uniform"),
+            ("occ", "min", 2000.0),
+            ("c_fab", "max", 900.0),
+            ("c_yc", "mode", 120.0),
+            ("occ", "mode", None),
+            ("c_yc", "nominal", 100.0),
+            ("c_swu", "grid_points", 50),
+        ],
+    )
+    def test_override_read_from_file_is_the_builder(self, tmp_path, name, key, value):
+        payload = {"costs": {"occ": 3200.0, "c_yc": 110.0}, "uncertainty": {name: {key: value}}}
+        config = load_config(write_config(tmp_path, payload))
+        param = next(p for p in config.uncertain if p.name == name)
+        assert param == stock_parameter(name, config.costs, **{key: value})
+
+    @pytest.mark.parametrize(
+        "spec,message",
+        [({"pdf": "normal"}, "pdf kind must be one of"), ({"mode": 3000.0}, "uniform pdf takes no mode")],
+        ids=["bad-kind", "uniform-mode"],
+    )
+    def test_bad_pdf_exits_2_naming_the_spec(self, tmp_path, capsys, spec, message):
+        path = write_config(tmp_path, {"uncertainty": {"occ": spec}})
+        code = main(["lcoe", "--config", path, "--design", DESIGN, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"config error: uncertainty.occ: {message}" in capsys.readouterr().err
+
+
 class TestParseDesign:
     def test_round_trip(self):
         design = parse_design("p=19.13,xp=5,xt=0.2913,t=6.24,db=30")
@@ -457,6 +503,24 @@ class TestCliCommands:
         )
         assert code == 3
         assert f"scenario {failing[0]} failed" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "command",
+        [["lcoe", "--design", DESIGN],
+         ["sweep", "--param", "discount", "--fixed-design", DESIGN]],
+        ids=["lcoe", "sweep"],
+    )
+    def test_overflowing_cost_exits_3(self, tmp_path, capsys, command):
+        # a finite decommissioning cost of 1e306 $/kW overflows its charge
+        path = write_config(tmp_path, {"costs": {"c_dec": 1e306}})
+        out = tmp_path / "o"
+        code = main([*command, "--config", path, "--out", str(out)])
+        assert code == 3
+        assert "numerical error: lcoe component decommissioning is not finite" in (
+            capsys.readouterr().err
+        )
+        assert not list(out.glob("*.csv"))
 
     def test_optimize_with_sa_validation(self, tmp_path, capsys):
         path = write_config(tmp_path, LIGHT_SOLVERS)

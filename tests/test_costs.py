@@ -278,6 +278,12 @@ class TestLcoeBreakdown:
         bd = lcoe_breakdown(BASE_DESIGN, occ_only, fin)
         assert bd.total == pytest.approx(29.55, abs=0.05)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_component_rejected_by_name(self):
+        huge = replace(DEFAULT_COSTS, c_dec=1e306)
+        with pytest.raises(ValueError, match="decommissioning is not finite"):
+            lcoe_breakdown(BASE_DESIGN, huge, DEFAULT_FINANCE)
+
     def test_deterministic(self):
         a = lcoe_breakdown(BASE_DESIGN, DEFAULT_COSTS, DEFAULT_FINANCE)
         b = lcoe_breakdown(BASE_DESIGN, DEFAULT_COSTS, DEFAULT_FINANCE)

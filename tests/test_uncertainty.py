@@ -22,6 +22,7 @@ from microlcoe.uncertainty import (
     pdf_density,
     roulette_select,
     sample_scenario,
+    stock_parameter,
 )
 
 OCC = UncertainParameter("occ", Pdf("uniform", 2500.0, 4000.0), 3000.0)
@@ -250,3 +251,18 @@ class TestGenerateStudy:
         params = default_uncertain_parameters()
         study = generate_study(params, "fuel", n=10, seed=0)
         assert [s.id for s in study] == list(range(10))
+
+
+class TestStockParameter:
+    def test_stock_entries(self):
+        assert stock_parameter("occ") == OCC
+        assert stock_parameter("c_yc") == URANIUM
+
+    def test_triangular_mode_follows_the_nominal(self):
+        assert stock_parameter("c_yc", nominal=100.0).pdf.mode == 100.0
+        assert stock_parameter("occ", pdf="triangular", nominal=3100.0).pdf.mode == 3100.0
+        assert stock_parameter("c_yc", pdf="uniform").pdf.mode is None
+
+    def test_unknown_override_rejected(self):
+        with pytest.raises(TypeError, match="midpoint"):
+            stock_parameter("occ", midpoint=3000.0)
