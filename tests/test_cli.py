@@ -522,6 +522,14 @@ class TestCliCommands:
         )
         assert not list(out.glob("*.csv"))
 
+    def test_failing_command_writes_no_manifest(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["sweep", "--param", "efficiency", "--values", "0.35,nan",
+                     "--out", str(out)]) == 2
+        path = write_config(tmp_path, {"costs": {"c_dec": 1e306}})
+        assert main(["lcoe", "--design", DESIGN, "--config", path, "--out", str(out)]) == 3
+        assert not (out / "manifest.json").exists()
+
     def test_optimize_with_sa_validation(self, tmp_path, capsys):
         path = write_config(tmp_path, LIGHT_SOLVERS)
         out = tmp_path / "run"

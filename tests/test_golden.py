@@ -24,6 +24,9 @@ SMALL_CONFIG = {
 }
 
 GOLDEN = {
+    "lcoe": {
+        "manifest.json": "a22893ba0f518e6fc11177c35593883db219062f6530ff56a441576f8a2b76ee",
+    },
     "optimize": {
         "manifest.json": "d3cd87a0db6b896b7ef8ed7fa4e12a527bca6904e9d46fb82fffda7a1219fd48",
         "optimize.csv": "71391f041f292217e6b7179714d281767e18573c2c8b72b7b55611db445ee2c9",
@@ -35,6 +38,10 @@ GOLDEN = {
     "sweep": {
         "manifest.json": "f477d5372cf06b3ef280b1b9c49092b3f47145f95a2c800fdb759cf0449070aa",
         "sensitivity_efficiency.csv": "624a0cc704b818e3d8e31a042d1a85570904956cb8f605903f0fbd1061046a44",
+    },
+    "sweep_discount": {
+        "manifest.json": "4f50220ad4a209b928caa95970f8ca548904d5a2643be0457798b30b9467f122",
+        "sensitivity_discount.csv": "170fc74cbd0c10425a48d955c5896aae96de1f1349eaf1788e8933f55f04e8e2",
     },
     "sweep_fixed_design": {
         "manifest.json": "1cb08460dbc620fbafee62672788c8bb87da242d57faaea5cc94e16fe3bf4c03",
@@ -72,7 +79,18 @@ def _run(tmp_path, monkeypatch, *argv) -> dict:
     monkeypatch.chdir(tmp_path)
     (tmp_path / "config.json").write_text(json.dumps(SMALL_CONFIG))
     assert main([*argv, "--config", "config.json", "--out", "out"]) == 0
-    return {path.name: _digest(path) for path in sorted((tmp_path / "out").iterdir())}
+    paths = sorted((tmp_path / "out").iterdir())
+    # the manifest lists every other file the run wrote, and only those
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["outputs"] == [path.name for path in paths if path.name != "manifest.json"]
+    return {path.name: _digest(path) for path in paths}
+
+
+def test_lcoe(tmp_path, monkeypatch):
+    # writes only the manifest
+    digests = _run(tmp_path, monkeypatch, "lcoe",
+                   "--design", "p=19.13,xp=5,xt=0.2913,t=6.24,db=30")
+    assert digests == GOLDEN["lcoe"]
 
 
 def test_optimize_with_sa_validation(tmp_path, monkeypatch):
@@ -91,6 +109,12 @@ def test_sweep(tmp_path, monkeypatch):
     digests = _run(tmp_path, monkeypatch, "sweep", "--param", "efficiency",
                    "--values", "0.35,0.5", "--seed", "2")
     assert digests == GOLDEN["sweep"]
+
+
+def test_sweep_discount(tmp_path, monkeypatch):
+    # the one CLI name that differs from its analysis name, at the default values
+    digests = _run(tmp_path, monkeypatch, "sweep", "--param", "discount", "--seed", "2")
+    assert digests == GOLDEN["sweep_discount"]
 
 
 def test_sweep_fixed_design(tmp_path, monkeypatch):
