@@ -41,7 +41,14 @@ from .uncertainty import (
 )
 
 STUDY_VARIABLES = ("lcoe", *DESIGN_FIELDS)
-SWEEP_PARAMETERS = ("efficiency", "discount_rate", "inflation")
+# Each swept financial assumption -> the FinancialParams field it sets, and
+# the fields it fixes (an inflation rate acts only under escalated discounting).
+_SWEEP_FIELDS = {
+    "efficiency": ("eta", {}),
+    "discount_rate": ("r", {}),
+    "inflation": ("infl", {"inflation_mode": "escalated"}),
+}
+SWEEP_PARAMETERS = tuple(_SWEEP_FIELDS)
 
 __all__ = [
     "STUDY_VARIABLES",
@@ -187,7 +194,7 @@ def run_uncertainty_study(
     params: Optional[Sequence[UncertainParameter]] = None,
     base_costs: CostInputs = DEFAULT_COSTS,
     fin: FinancialParams = DEFAULT_FINANCE,
-    ga_config: Optional[GaConfig] = None,
+    ga_config: GaConfig = GaConfig(),
     penalty_weight: float = DEFAULT_PENALTY_WEIGHT,
     threads: int = 1,
 ) -> StudyReport:
@@ -234,15 +241,11 @@ def swept_params(
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ValueError(f"parameter must be one of {SWEEP_PARAMETERS}")
+    name, fixed = _SWEEP_FIELDS[parameter]
     resolved = []
     for value in values:
         try:
-            if parameter == "efficiency":
-                resolved.append(replace(fin, eta=float(value)))
-            elif parameter == "discount_rate":
-                resolved.append(replace(fin, r=float(value)))
-            else:
-                resolved.append(replace(fin, infl=float(value), inflation_mode="escalated"))
+            resolved.append(replace(fin, **fixed, **{name: float(value)}))
         except ValueError as exc:
             raise ValueError(f"{parameter} value {value!r} rejected: {exc}") from exc
     return resolved
@@ -254,7 +257,7 @@ def sensitivity_sweep(
     *,
     costs: CostInputs = DEFAULT_COSTS,
     fin: FinancialParams = DEFAULT_FINANCE,
-    ga_config: Optional[GaConfig] = None,
+    ga_config: GaConfig = GaConfig(),
     penalty_weight: float = DEFAULT_PENALTY_WEIGHT,
     seed: SeedLike = 0,
     design: Optional[ReactorDesign] = None,

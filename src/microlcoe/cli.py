@@ -47,16 +47,11 @@ from .uncertainty import STUDY_MODES
 
 _DESIGN_KEYS = {"p": "p_elec", "xp": "x_p", "xt": "x_t", "t": "t_refuel", "db": "db"}
 
-_SWEEP_CLI_PARAMS = {
-    "efficiency": "efficiency",
-    "discount": "discount_rate",
-    "inflation": "inflation",
-}
-
-_DEFAULT_SWEEP_VALUES = {
-    "efficiency": (0.35, 0.40, 0.45, 0.50),
-    "discount": (0.03, 0.05),
-    "inflation": (0.002, 0.02),
+# CLI name -> (swept parameter, default values)
+_SWEEPS = {
+    "efficiency": ("efficiency", (0.35, 0.40, 0.45, 0.50)),
+    "discount": ("discount_rate", (0.03, 0.05)),
+    "inflation": ("inflation", (0.002, 0.02)),
 }
 
 
@@ -100,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     study.add_argument("--n", type=int, default=100, help="number of scenarios")
 
     sweep = sub.add_parser("sweep", parents=[common], help="sensitivity sweep")
-    sweep.add_argument("--param", required=True, choices=tuple(_SWEEP_CLI_PARAMS))
+    sweep.add_argument("--param", required=True, choices=tuple(_SWEEPS))
     sweep.add_argument(
         "--values", metavar="V1,V2,...", help="override the swept values"
     )
@@ -174,11 +169,6 @@ def _manifest(config: StudyConfig, command: str, argv, outputs) -> dict:
     }
 
 
-def _finish(config: StudyConfig, command: str, argv, outputs: list) -> None:
-    out_dir = Path(config.output_dir)
-    write_manifest(out_dir / "manifest.json", _manifest(config, command, argv, outputs))
-
-
 def _print_breakdown(breakdown) -> None:
     print(f"  capital          {breakdown.capital:12.2f} $/MWh")
     print(f"  o&m              {breakdown.om:12.2f} $/MWh")
@@ -199,20 +189,25 @@ def _design_str(design: ReactorDesign) -> str:
     )
 
 
-def _cmd_lcoe(config: StudyConfig, args, argv) -> int:
+def _search(config: StudyConfig, method: str = "ga"):
+    return optimize_design(
+        config.costs, config.fin, method=method, ga_config=config.ga, sa_config=config.sa,
+        penalty_weight=config.penalty_weight, seed=config.seed,
+    )
+
+
+# Each command prints its results, writes its files into out_dir and
+# returns their names; main writes the manifest.
+def _cmd_lcoe(config: StudyConfig, args, out_dir: Path) -> list:
     design = parse_design(args.design)
     breakdown = lcoe_breakdown(design, config.costs, config.fin)
     print(f"design: {_design_str(design)}")
     _print_breakdown(breakdown)
-    _finish(config, "lcoe", argv, [])
-    return 0
+    return []
 
 
-def _cmd_optimize(config: StudyConfig, args, argv) -> int:
-    result = optimize_design(
-        config.costs, config.fin, method="ga", ga_config=config.ga,
-        penalty_weight=config.penalty_weight, seed=config.seed,
-    )
+def _cmd_optimize(config: StudyConfig, args, out_dir: Path) -> list:
+    result = _search(config)
     rows = [("ga", result)]
     print(f"best design ({config.ga.restarts} GA restarts, seed {config.seed}):")
     print(f"  {_design_str(result.best_design)}")
@@ -220,17 +215,13 @@ def _cmd_optimize(config: StudyConfig, args, argv) -> int:
           f"penalty {result.penalty_value:.3f}")
     _print_breakdown(result.breakdown)
     if args.validate_sa:
-        sa_result = optimize_design(
-            config.costs, config.fin, method="sa", sa_config=config.sa,
-            penalty_weight=config.penalty_weight, seed=config.seed,
-        )
+        sa_result = _search(config, "sa")
         rows.append(("sa", sa_result))
-        gap = abs(result.objective - sa_result.objective) / result.objective
+        gap = abs(result.objective - sa_result.objective) / abs(result.objective)
         print(f"sa check: lcoe {sa_result.lcoe:.2f} $/MWh "
               f"({_design_str(sa_result.best_design)}), relative gap {gap:.4%}")
-    write_optimize_csv(rows, Path(config.output_dir) / "optimize.csv")
-    _finish(config, "optimize", argv, ["optimize.csv"])
-    return 0
+    write_optimize_csv(rows, out_dir / "optimize.csv")
+    return ["optimize.csv"]
 
 
 def _print_stats(report: StudyReport) -> None:
@@ -244,7 +235,7 @@ def _print_stats(report: StudyReport) -> None:
     print(f"ptc reduction across scenarios: {low:.2%} to {high:.2%}")
 
 
-def _cmd_study(config: StudyConfig, args, argv) -> int:
+def _cmd_study(config: StudyConfig, args, out_dir: Path) -> list:
     if args.n < 1:
         raise ConfigError("--n must be >= 1")
     report = run_uncertainty_study(
@@ -253,7 +244,6 @@ def _cmd_study(config: StudyConfig, args, argv) -> int:
         ga_config=config.ga, penalty_weight=config.penalty_weight,
         threads=config.threads,
     )
-    out_dir = Path(config.output_dir)
     param_names = [p.name for p in config.uncertain]
     scenario_csv = f"study_{args.mode}.csv"
     stats_csv = f"study_{args.mode}_stats.csv"
@@ -264,11 +254,11 @@ def _cmd_study(config: StudyConfig, args, argv) -> int:
         write_study_stats_csv(report, out_dir / stats_csv)
         outputs.append(stats_csv)
         _print_stats(report)
-    _finish(config, "study", argv, outputs)
-    return 0
+    return outputs
 
 
-def _cmd_sweep(config: StudyConfig, args, argv) -> int:
+def _cmd_sweep(config: StudyConfig, args, out_dir: Path) -> list:
+    parameter, values = _SWEEPS[args.param]
     if args.values is not None:
         try:
             values = [float(v) for v in args.values.split(",") if v.strip()]
@@ -277,39 +267,31 @@ def _cmd_sweep(config: StudyConfig, args, argv) -> int:
         if not values:
             raise ConfigError("--values is empty")
         try:
-            swept_params(_SWEEP_CLI_PARAMS[args.param], values, config.fin)
+            swept_params(parameter, values, config.fin)
         except ValueError as exc:
             raise ConfigError(f"--values: {exc}") from exc
-    else:
-        values = list(_DEFAULT_SWEEP_VALUES[args.param])
     fixed = parse_design(args.fixed_design) if args.fixed_design else None
     rows = sensitivity_sweep(
-        _SWEEP_CLI_PARAMS[args.param], values,
+        parameter, values,
         costs=config.costs, fin=config.fin, ga_config=config.ga,
         penalty_weight=config.penalty_weight, seed=config.seed,
         design=fixed,
     )
     name = f"sensitivity_{args.param}.csv"
-    write_sensitivity_csv(rows, Path(config.output_dir) / name)
+    write_sensitivity_csv(rows, out_dir / name)
     print(f"{'value':>10}{'lcoe':>12}")
     for row in rows:
         print(f"{row.value:>10.4g}{row.breakdown.total:>12.2f}")
-    _finish(config, "sweep", argv, [name])
-    return 0
+    return [name]
 
 
-def _cmd_compare(config: StudyConfig, args, argv) -> int:
-    result = optimize_design(
-        config.costs, config.fin, method="ga", ga_config=config.ga,
-        penalty_weight=config.penalty_weight, seed=config.seed,
-    )
-    ranking = technology_comparison(result.lcoe, config.benchmarks)
-    write_comparison_csv(ranking, Path(config.output_dir) / "compare.csv")
+def _cmd_compare(config: StudyConfig, args, out_dir: Path) -> list:
+    ranking = technology_comparison(_search(config).lcoe, config.benchmarks)
+    write_comparison_csv(ranking, out_dir / "compare.csv")
     print(f"{'rank':<6}{'technology':<24}{'lcoe':>10}{'delta':>10}")
     for rank, (name, value, delta) in enumerate(ranking, start=1):
         print(f"{rank:<6}{name:<24}{value:>10.2f}{delta:>+10.2f}")
-    _finish(config, "compare", argv, ["compare.csv"])
-    return 0
+    return ["compare.csv"]
 
 
 _COMMANDS = {
@@ -327,8 +309,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _apply_overrides(load_config(args.config), args)
-        Path(config.output_dir).mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](config, args, argv)
+        out_dir = Path(config.output_dir)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # e.g. the path or one of its parents is a file
+            raise ConfigError(
+                f"output directory {str(out_dir)!r} cannot be created: {exc.strerror}"
+            ) from exc
+        outputs = _COMMANDS[args.command](config, args, out_dir)
+        write_manifest(out_dir / "manifest.json", _manifest(config, args.command, argv, outputs))
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

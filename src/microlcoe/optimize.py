@@ -146,20 +146,15 @@ def penalized_objective(
     costs: CostInputs,
     fin: FinancialParams,
     penalty_weight: float = DEFAULT_PENALTY_WEIGHT,
-):
+) -> float:
     """Levelized cost plus a quadratic charge on the burnup-consistency residual.
 
     The cascade mass balance is an identity of the mass-flow construction, so
     only the burnup relation needs penalizing. With ``penalty_weight`` zero
-    this is exactly the levelized cost.
+    this is exactly the levelized cost. One design's value of
+    :func:`make_design_objective`.
     """
-    if not 0.0 <= penalty_weight < np.inf:
-        raise ValueError("penalty_weight must be finite and >= 0")
-    terms = compile_lcoe(costs, fin)(
-        design.p_elec, design.x_p, design.x_t, design.t_refuel, design.db
-    )
-    total, residual = terms[6], terms[8]
-    return total + penalty_weight * residual * residual
+    return float(make_design_objective(costs, fin, penalty_weight)(design.as_array()[None, :])[0])
 
 
 def make_design_objective(
@@ -406,8 +401,8 @@ def optimize_design(
     fin: FinancialParams,
     *,
     method: str = "ga",
-    ga_config: GaConfig | None = None,
-    sa_config: SaConfig | None = None,
+    ga_config: GaConfig = GaConfig(),
+    sa_config: SaConfig = SaConfig(),
     penalty_weight: float = DEFAULT_PENALTY_WEIGHT,
     seed: SeedLike = 0,
 ) -> OptimizationResult:
@@ -419,12 +414,9 @@ def optimize_design(
     to the lowest index. Returns the winning design with its cost breakdown,
     residual, and the best value of every restart.
     """
-    if method == "ga":
-        config = ga_config if ga_config is not None else GaConfig()
-    elif method == "sa":
-        config = sa_config if sa_config is not None else SaConfig()
-    else:
+    if method not in ("ga", "sa"):
         raise ValueError("method must be 'ga' or 'sa'")
+    config = ga_config if method == "ga" else sa_config
     objective = make_design_objective(costs, fin, penalty_weight)
     bounds = bounds_arrays()
     seeds = [seed_path(seed, STREAM_RESTART, i) for i in range(config.restarts)]

@@ -530,6 +530,31 @@ class TestCliCommands:
         assert main(["lcoe", "--design", DESIGN, "--config", path, "--out", str(out)]) == 3
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("under", ["afile", "afile/sub"])
+    @pytest.mark.parametrize("via", ["--out", "output_dir"])
+    def test_output_dir_that_cannot_be_created_exits_2(self, tmp_path, capsys, under, via):
+        (tmp_path / "afile").touch()
+        out = str(tmp_path / under)
+        argv = ["lcoe", "--design", DESIGN]
+        if via == "--out":
+            argv += ["--out", out]
+        else:
+            argv += ["--config", write_config(tmp_path, {"output_dir": out})]
+        assert main(argv) == 2
+        assert f"config error: output directory {out!r} cannot be created" in (
+            capsys.readouterr().err
+        )
+
+    def test_sa_gap_is_not_negative_when_the_objective_is(self, tmp_path, capsys):
+        # a credit of 1000 $/MWh drives the optimum's cost below zero
+        path = write_config(tmp_path, {**LIGHT_SOLVERS, "financial": {"ptc_rate": 1000.0}})
+        code = main(["optimize", "--config", path, "--validate-sa", "--out", str(tmp_path / "o")])
+        assert code == 0
+        stdout = capsys.readouterr().out
+        assert "lcoe -" in stdout
+        gap = float(stdout.rsplit("relative gap ", 1)[1].strip().rstrip("%"))
+        assert gap >= 0.0
+
     def test_optimize_with_sa_validation(self, tmp_path, capsys):
         path = write_config(tmp_path, LIGHT_SOLVERS)
         out = tmp_path / "run"
