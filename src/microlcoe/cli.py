@@ -313,9 +313,8 @@ def main(argv=None) -> int:
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:  # e.g. the path or one of its parents is a file
-            raise ConfigError(
-                f"output directory {str(out_dir)!r} cannot be created: {exc.strerror}"
-            ) from exc
+            raise ConfigError(f"output directory {str(out_dir)!r} cannot be created: "
+                              f"{exc.strerror}") from exc
         outputs = _COMMANDS[args.command](config, args, out_dir)
         write_manifest(out_dir / "manifest.json", _manifest(config, args.command, argv, outputs))
         return 0
