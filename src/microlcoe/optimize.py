@@ -151,10 +151,16 @@ def penalized_objective(
 
     The cascade mass balance is an identity of the mass-flow construction, so
     only the burnup relation needs penalizing. With ``penalty_weight`` zero
-    this is exactly the levelized cost. One design's value of
-    :func:`make_design_objective`.
+    this is exactly the levelized cost. Computed from the compiled chain, not
+    through :func:`make_design_objective`, it is a scalar check of that objective.
     """
-    return float(make_design_objective(costs, fin, penalty_weight)(design.as_array()[None, :])[0])
+    if not 0.0 <= penalty_weight < np.inf:
+        raise ValueError("penalty_weight must be finite and >= 0")
+    terms = compile_lcoe(costs, fin)(
+        design.p_elec, design.x_p, design.x_t, design.t_refuel, design.db
+    )
+    total, residual = terms[6], terms[8]
+    return total + penalty_weight * residual * residual
 
 
 def make_design_objective(
