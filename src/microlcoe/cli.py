@@ -8,9 +8,9 @@ study     run an uncertainty study (``--mode all|occ|om|fuel|none``)
 sweep     sensitivity sweep over efficiency, discount rate, or inflation
 compare   rank the optimized microreactor against benchmark technologies
 
-Every run writes a ``manifest.json`` with the seed, resolved configuration,
-config hash and library versions, which is sufficient to reproduce the
-outputs byte for byte.
+Every successful run writes a ``manifest.json`` with the seed, resolved
+configuration, config hash and library versions, enough to reproduce the
+outputs byte for byte. A run whose input or computation fails writes nothing.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical/optimization error.
 """
@@ -18,6 +18,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical/optimization error.
 from __future__ import annotations
 
 import argparse
+import os
 import platform
 import sys
 from dataclasses import replace
@@ -196,17 +197,17 @@ def _search(config: StudyConfig, method: str = "ga"):
     )
 
 
-# Each command prints its results, writes its files into out_dir and
-# returns their names; main writes the manifest.
-def _cmd_lcoe(config: StudyConfig, args, out_dir: Path) -> list:
+# Each command checks its arguments, computes, prints and returns
+# {file name: writer of that file's path}; main writes the files.
+def _cmd_lcoe(config: StudyConfig, args) -> dict:
     design = parse_design(args.design)
     breakdown = lcoe_breakdown(design, config.costs, config.fin)
     print(f"design: {_design_str(design)}")
     _print_breakdown(breakdown)
-    return []
+    return {}
 
 
-def _cmd_optimize(config: StudyConfig, args, out_dir: Path) -> list:
+def _cmd_optimize(config: StudyConfig, args) -> dict:
     result = _search(config)
     rows = [("ga", result)]
     print(f"best design ({config.ga.restarts} GA restarts, seed {config.seed}):")
@@ -220,8 +221,7 @@ def _cmd_optimize(config: StudyConfig, args, out_dir: Path) -> list:
         gap = abs(result.objective - sa_result.objective) / abs(result.objective)
         print(f"sa check: lcoe {sa_result.lcoe:.2f} $/MWh "
               f"({_design_str(sa_result.best_design)}), relative gap {gap:.4%}")
-    write_optimize_csv(rows, out_dir / "optimize.csv")
-    return ["optimize.csv"]
+    return {"optimize.csv": lambda path: write_optimize_csv(rows, path)}
 
 
 def _print_stats(report: StudyReport) -> None:
@@ -235,7 +235,7 @@ def _print_stats(report: StudyReport) -> None:
     print(f"ptc reduction across scenarios: {low:.2%} to {high:.2%}")
 
 
-def _cmd_study(config: StudyConfig, args, out_dir: Path) -> list:
+def _cmd_study(config: StudyConfig, args) -> dict:
     if args.n < 1:
         raise ConfigError("--n must be >= 1")
     report = run_uncertainty_study(
@@ -245,19 +245,15 @@ def _cmd_study(config: StudyConfig, args, out_dir: Path) -> list:
         threads=config.threads,
     )
     param_names = [p.name for p in config.uncertain]
-    scenario_csv = f"study_{args.mode}.csv"
-    stats_csv = f"study_{args.mode}_stats.csv"
-    write_study_csv(report, out_dir / scenario_csv, param_names)
-    outputs = [scenario_csv]
+    writers = {f"study_{args.mode}.csv": lambda path: write_study_csv(report, path, param_names)}
     print(f"study mode={args.mode}, n={args.n}, seed={config.seed}")
     if report.stats:
-        write_study_stats_csv(report, out_dir / stats_csv)
-        outputs.append(stats_csv)
+        writers[f"study_{args.mode}_stats.csv"] = lambda path: write_study_stats_csv(report, path)
         _print_stats(report)
-    return outputs
+    return writers
 
 
-def _cmd_sweep(config: StudyConfig, args, out_dir: Path) -> list:
+def _cmd_sweep(config: StudyConfig, args) -> dict:
     parameter, values = _SWEEPS[args.param]
     if args.values is not None:
         try:
@@ -277,21 +273,18 @@ def _cmd_sweep(config: StudyConfig, args, out_dir: Path) -> list:
         penalty_weight=config.penalty_weight, seed=config.seed,
         design=fixed,
     )
-    name = f"sensitivity_{args.param}.csv"
-    write_sensitivity_csv(rows, out_dir / name)
     print(f"{'value':>10}{'lcoe':>12}")
     for row in rows:
         print(f"{row.value:>10.4g}{row.breakdown.total:>12.2f}")
-    return [name]
+    return {f"sensitivity_{args.param}.csv": lambda path: write_sensitivity_csv(rows, path)}
 
 
-def _cmd_compare(config: StudyConfig, args, out_dir: Path) -> list:
+def _cmd_compare(config: StudyConfig, args) -> dict:
     ranking = technology_comparison(_search(config).lcoe, config.benchmarks)
-    write_comparison_csv(ranking, out_dir / "compare.csv")
     print(f"{'rank':<6}{'technology':<24}{'lcoe':>10}{'delta':>10}")
     for rank, (name, value, delta) in enumerate(ranking, start=1):
         print(f"{rank:<6}{name:<24}{value:>10.2f}{delta:>+10.2f}")
-    return ["compare.csv"]
+    return {"compare.csv": lambda path: write_comparison_csv(ranking, path)}
 
 
 _COMMANDS = {
@@ -310,13 +303,20 @@ def main(argv=None) -> int:
     try:
         config = _apply_overrides(load_config(args.config), args)
         out_dir = Path(config.output_dir)
-        try:
+        failure = f"output directory {str(out_dir)!r} cannot be created"
+        nearest = next(p for p in (out_dir, *out_dir.parents) if os.path.exists(p))
+        if not nearest.is_dir():  # checked read-only, before any search
+            raise ConfigError(f"{failure}: {str(nearest)!r} is not a directory")
+        writers = _COMMANDS[args.command](config, args)
+        manifest = _manifest(config, args.command, argv, writers)
+        writers["manifest.json"] = lambda path: write_manifest(path, manifest)
+        try:  # only a successful command leaves the directory and its files
             out_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:  # e.g. the path or one of its parents is a file
-            raise ConfigError(f"output directory {str(out_dir)!r} cannot be created: "
-                              f"{exc.strerror}") from exc
-        outputs = _COMMANDS[args.command](config, args, out_dir)
-        write_manifest(out_dir / "manifest.json", _manifest(config, args.command, argv, outputs))
+            for name, write in writers.items():
+                failure = f"output file {str(out_dir / name)!r} cannot be written"
+                write(out_dir / name)
+        except OSError as exc:
+            raise ConfigError(f"{failure}: {exc.strerror}") from exc
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

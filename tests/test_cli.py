@@ -503,6 +503,7 @@ class TestCliCommands:
         )
         assert code == 3
         assert f"scenario {failing[0]} failed" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
@@ -522,20 +523,53 @@ class TestCliCommands:
         )
         assert not list(out.glob("*.csv"))
 
-    def test_failing_command_writes_no_manifest(self, tmp_path):
-        out = tmp_path / "o"
-        assert main(["sweep", "--param", "efficiency", "--values", "0.35,nan",
-                     "--out", str(out)]) == 2
-        path = write_config(tmp_path, {"costs": {"c_dec": 1e306}})
-        assert main(["lcoe", "--design", DESIGN, "--config", path, "--out", str(out)]) == 3
-        assert not (out / "manifest.json").exists()
+    @pytest.mark.parametrize(
+        ("command", "out", "overflow", "expected"),
+        [(["study", "--mode", "all", "--n", "0"], "o", False, 2),
+         (["sweep", "--param", "efficiency", "--values", "0.35,nan"], "o/sub", False, 2),
+         (["lcoe", "--design", "p=25,xp=5,xt=0.25,t=6,db=30"], "o", False, 2),
+         (["lcoe", "--design", DESIGN], "o", True, 3),
+         (["sweep", "--param", "discount", "--fixed-design", DESIGN], "o/sub", True, 3)],
+        ids=["study-n0", "sweep-nan", "lcoe-out-of-box", "lcoe-overflow", "sweep-overflow"],
+    )
+    def test_failing_command_writes_no_manifest(self, tmp_path, command, out, overflow,
+                                                expected):
+        # a failing run leaves neither files nor the directory behind
+        if overflow:
+            command = [*command, "--config", write_config(tmp_path, {"costs": {"c_dec": 1e306}})]
+        assert main([*command, "--out", str(tmp_path / out)]) == expected
+        assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        ("command", "name"),
+        [(["lcoe", "--design", DESIGN], "manifest.json"),
+         (["optimize"], "optimize.csv"),
+         (["compare"], "compare.csv")],
+        ids=["lcoe-manifest", "optimize-csv", "compare-csv"],
+    )
+    def test_output_that_cannot_be_written_exits_2(self, tmp_path, capsys, command, name):
+        tiny_ga = {"ga": {"population": 8, "generations": 3, "elite_count": 2, "restarts": 1}}
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        argv = [*command, "--config", write_config(tmp_path, tiny_ga), "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"config error: output file {str(out / name)!r} cannot be written" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [["lcoe", "--design", DESIGN], ["optimize"]],
+                             ids=["lcoe", "optimize"])
     @pytest.mark.parametrize("under", ["afile", "afile/sub"])
     @pytest.mark.parametrize("via", ["--out", "output_dir"])
-    def test_output_dir_that_cannot_be_created_exits_2(self, tmp_path, capsys, under, via):
+    def test_output_dir_that_cannot_be_created_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                       under, via, command):
+        def no_search(*args, **kwargs):
+            pytest.fail("the output directory is checked before any search")
+
+        monkeypatch.setattr("microlcoe.cli.optimize_design", no_search)
         (tmp_path / "afile").touch()
         out = str(tmp_path / under)
-        argv = ["lcoe", "--design", DESIGN]
+        argv = list(command)
         if via == "--out":
             argv += ["--out", out]
         else:
