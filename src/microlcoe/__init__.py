@@ -33,7 +33,6 @@ from .optimize import (
     sa_minimize,
 )
 from .uncertainty import (
-    Pdf,
     Scenario,
     UncertainParameter,
     generate_study,
@@ -54,7 +53,6 @@ __all__ = [
     "GaConfig",
     "LcoeBreakdown",
     "OptimizationResult",
-    "Pdf",
     "ReactorDesign",
     "SaConfig",
     "Scenario",

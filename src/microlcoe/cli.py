@@ -309,10 +309,14 @@ def main(argv=None) -> int:
             raise ConfigError(f"{failure}: {str(nearest)!r} is not a directory")
         writers = _COMMANDS[args.command](config, args)
         manifest = _manifest(config, args.command, argv, writers)
-        writers["manifest.json"] = lambda path: write_manifest(path, manifest)
+        # An older run's manifest goes first and the new one is written last,
+        # so no manifest sits beside a file it does not describe.
+        steps = [("manifest.json", lambda path: path.unlink(missing_ok=True)),
+                 *writers.items(),
+                 ("manifest.json", lambda path: write_manifest(path, manifest))]
         try:  # only a successful command leaves the directory and its files
             out_dir.mkdir(parents=True, exist_ok=True)
-            for name, write in writers.items():
+            for name, write in steps:
                 failure = f"output file {str(out_dir / name)!r} cannot be written"
                 write(out_dir / name)
         except OSError as exc:

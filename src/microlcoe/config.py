@@ -96,8 +96,10 @@ _SCALAR_KEYS = {  # penalty_weight, seed, threads, output_dir, notes
     f.name: f.name for f in fields(StudyConfig) if isinstance(f.default, (float, int, str))
 }
 
-# The keys of one ``uncertainty.<name>`` spec, each with a value of its type.
+# The keys of one ``uncertainty.<name>`` spec, each with a value of its type:
+# the fields of UncertainParameter after its name.
 _UNCERTAIN_LIKE = {"pdf": "", "min": 0.0, "max": 0.0, "mode": 0.0, "nominal": 0.0, "grid_points": 0}
+_UNCERTAIN_KEYS = {key: key for key in _UNCERTAIN_LIKE}
 
 _TOP_KEYS = ("financial", "costs", "uncertainty", "ga", "sa", "benchmarks", *_SCALAR_KEYS)
 
@@ -261,17 +263,7 @@ def resolved_dict(config: StudyConfig) -> dict:
     return {
         "financial": _image(config.fin, _FINANCIAL_KEYS),
         "costs": _image(config.costs, _COST_KEYS),
-        "uncertainty": {
-            p.name: {
-                "pdf": p.pdf.kind,
-                "min": p.pdf.min,
-                "max": p.pdf.max,
-                "mode": p.pdf.mode,
-                "nominal": p.nominal,
-                "grid_points": p.grid_points,
-            }
-            for p in config.uncertain
-        },
+        "uncertainty": {p.name: _image(p, _UNCERTAIN_KEYS) for p in config.uncertain},
         "ga": _image(config.ga, _GA_KEYS),
         "sa": _image(config.sa, _SA_KEYS),
         "benchmarks": [{"name": n, "lcoe": v} for n, v in config.benchmarks.entries],

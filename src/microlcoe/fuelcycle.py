@@ -156,7 +156,7 @@ def mass_flows(assays: EnrichmentAssays, m_p) -> MassFlows:
     """Feed and tails masses needed to produce ``m_p`` kg of product."""
     if np.any(m_p <= 0.0) or not np.all(np.isfinite(m_p)):
         raise ValueError("product mass must be positive and finite")
-    m_f = (assays.x_p - assays.x_t) / (assays.x_f - assays.x_t) * m_p
+    m_f = _feed_ratio_raw(assays.x_p, assays.x_t, assays.x_f) * m_p
     m_t = (assays.x_p - assays.x_f) / (assays.x_p - assays.x_t) * m_f
     return MassFlows(m_p=m_p, m_f=m_f, m_t=m_t)
 

@@ -56,7 +56,6 @@ __all__ = [
     "STUDY_MODES",
     "STOCK_UNCERTAINTY",
     "MAX_GRID_POINTS",
-    "Pdf",
     "UncertainParameter",
     "Scenario",
     "pdf_density",
@@ -70,37 +69,30 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Pdf:
-    """Uniform or triangular density on [min, max], in the parameter's units."""
-
-    kind: str
-    min: float
-    max: float
-    mode: Optional[float] = None  # triangular only; defaults to the nominal
-
-    def __post_init__(self):
-        if self.kind not in PDF_KINDS:
-            raise ValueError(f"pdf kind must be one of {PDF_KINDS}")
-        if not (np.isfinite(self.min) and np.isfinite(self.max)) or self.min >= self.max:
-            raise ValueError("pdf requires min < max")
-        if self.kind == "triangular":
-            if self.mode is None or not self.min <= self.mode <= self.max:
-                raise ValueError("triangular pdf requires min <= mode <= max")
-        elif self.mode is not None:
-            raise ValueError("uniform pdf takes no mode")
-
-
-@dataclass(frozen=True)
 class UncertainParameter:
-    """One uncertain cost parameter with its density and value grid."""
+    """One uncertain cost parameter: a uniform or triangular density on
+    [min, max], in the parameter's units, and its value grid. The fields
+    after ``name`` are the keys of an ``uncertainty.<name>`` config spec."""
 
     name: str
-    pdf: Pdf
+    pdf: str
+    min: float
+    max: float
+    mode: Optional[float]  # triangular only
     nominal: float
     grid_points: int = 100
 
     def __post_init__(self):
-        if not self.pdf.min <= self.nominal <= self.pdf.max:
+        if self.pdf not in PDF_KINDS:
+            raise ValueError(f"pdf kind must be one of {PDF_KINDS}")
+        if not (np.isfinite(self.min) and np.isfinite(self.max)) or self.min >= self.max:
+            raise ValueError("pdf requires min < max")
+        if self.pdf == "triangular":
+            if self.mode is None or not self.min <= self.mode <= self.max:
+                raise ValueError("triangular pdf requires min <= mode <= max")
+        elif self.mode is not None:
+            raise ValueError("uniform pdf takes no mode")
+        if not self.min <= self.nominal <= self.max:
             raise ValueError(f"nominal of {self.name} must lie within [min, max]")
         if not 2 <= self.grid_points <= MAX_GRID_POINTS:
             raise ValueError(f"grid_points must lie in [2, {MAX_GRID_POINTS}]")
@@ -122,28 +114,28 @@ class Scenario:
             raise ValueError("scenario id must be >= 0")
 
 
-def pdf_density(pdf: Pdf, x):
-    """Probability density of ``pdf`` at ``x`` (scalar or array), 1/units."""
+def pdf_density(param: UncertainParameter, x):
+    """Probability density of ``param`` at ``x`` (scalar or array), 1/units."""
     x = np.asarray(x, dtype=float)
-    span = pdf.max - pdf.min
-    inside = (x >= pdf.min) & (x <= pdf.max)
-    if pdf.kind == "uniform":
+    low, high, mode = param.min, param.max, param.mode
+    span = high - low
+    inside = (x >= low) & (x <= high)
+    if param.pdf == "uniform":
         return np.where(inside, 1.0 / span, 0.0)
-    mode = pdf.mode
-    if mode == pdf.min:
-        density = 2.0 * (pdf.max - x) / (span * span)
-    elif mode == pdf.max:
-        density = 2.0 * (x - pdf.min) / (span * span)
+    if mode == low:
+        density = 2.0 * (high - x) / (span * span)
+    elif mode == high:
+        density = 2.0 * (x - low) / (span * span)
     else:
-        rising = 2.0 * (x - pdf.min) / (span * (mode - pdf.min))
-        falling = 2.0 * (pdf.max - x) / (span * (pdf.max - mode))
+        rising = 2.0 * (x - low) / (span * (mode - low))
+        falling = 2.0 * (high - x) / (span * (high - mode))
         density = np.where(x < mode, rising, falling)
     return np.where(inside, density, 0.0)
 
 
 def parameter_grid(param: UncertainParameter) -> np.ndarray:
     """The parameter's equispaced value lattice, min to max inclusive."""
-    return np.linspace(param.pdf.min, param.pdf.max, param.grid_points)
+    return np.linspace(param.min, param.max, param.grid_points)
 
 
 def roulette_select(weights, rng: np.random.Generator) -> int:
@@ -188,7 +180,7 @@ def sample_scenario(
     for param in params:
         if param.name in group:
             grid = parameter_grid(param)
-            idx = roulette_select(pdf_density(param.pdf, grid), rng)
+            idx = roulette_select(pdf_density(param, grid), rng)
             indices[param.name] = idx
             values[param.name] = float(grid[idx])
         else:
@@ -227,8 +219,7 @@ def stock_parameter(name: str, base: CostInputs = DEFAULT_COSTS, **overrides) ->
     nominal = overrides.get("nominal", float(getattr(base, name)))
     mode = nominal if overrides.get("pdf", kind) == "triangular" else None
     spec = {"pdf": kind, "min": low, "max": high, "mode": mode, "nominal": nominal, **overrides}
-    pdf = Pdf(spec.pop("pdf"), spec.pop("min"), spec.pop("max"), spec.pop("mode"))
-    return UncertainParameter(name=name, pdf=pdf, **spec)
+    return UncertainParameter(name, **spec)
 
 
 def default_uncertain_parameters(base: CostInputs = DEFAULT_COSTS) -> list[UncertainParameter]:

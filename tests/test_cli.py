@@ -5,7 +5,7 @@ import csv
 import json
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -22,6 +22,7 @@ from microlcoe.config import (
 from microlcoe.costs import DEFAULT_COSTS, LB_U3O8_PER_KG_U
 from microlcoe.uncertainty import (
     STOCK_UNCERTAINTY,
+    UncertainParameter,
     default_uncertain_parameters,
     generate_study,
     stock_parameter,
@@ -32,6 +33,8 @@ LIGHT_SOLVERS = {
     "sa": {"steps": 40, "moves_per_step": 10, "restarts": 2},
 }
 
+
+TINY_GA = {"ga": {"population": 8, "generations": 3, "elite_count": 2, "restarts": 1}}
 
 SAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "config.sample.json"
 
@@ -258,7 +261,7 @@ class TestStrictParsing:
             {"uncertainty": {"occ": {"min": 3500.0, "nominal": 3600.0}}}
         )
         occ = next(p for p in config.uncertain if p.name == "occ")
-        assert (occ.pdf.min, occ.nominal) == (3500.0, 3600.0)
+        assert (occ.min, occ.nominal) == (3500.0, 3600.0)
 
     def test_non_utf8_config_exits_2(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -324,6 +327,17 @@ class TestStrictParsing:
         with pytest.raises(ConfigError, match="penalty_weight"):
             StudyConfig(penalty_weight=float("nan"))
 
+    @pytest.mark.parametrize(
+        ("make", "digest"),
+        [(StudyConfig, "3b362cd7fdbf0e96ee68d3e289a8d2123b2ede44cbcbbae156c9d78a37b7cc2d"),
+         (lambda: load_config(str(SAMPLE_CONFIG)),
+          "f198820b63d68542e5071efb088285f7d621b1a8b8cc24f1812682d515f3d14b")],
+        ids=["default", "sample"],
+    )
+    def test_config_hash_is_pinned(self, make, digest):
+        # a manifest's config_sha256 must not move under a refactor of the image
+        assert config_hash(make()) == digest
+
     def test_config_hash_tracks_content(self):
         assert config_hash(parse_config({})) == config_hash(StudyConfig())
         assert config_hash(parse_config({"seed": 9})) != config_hash(StudyConfig())
@@ -359,6 +373,10 @@ class TestUncertaintySpec:
         config = load_config(write_config(tmp_path, payload))
         param = next(p for p in config.uncertain if p.name == name)
         assert param == stock_parameter(name, config.costs, **{key: value})
+
+    def test_spec_keys_are_the_parameter_fields(self):
+        image = resolved_dict(StudyConfig())["uncertainty"]["occ"]
+        assert list(image) == [f.name for f in fields(UncertainParameter)][1:]
 
     @pytest.mark.parametrize(
         "spec,message",
@@ -466,7 +484,7 @@ class TestCliCommands:
                      "--out", str(tmp_path / "o")])
         assert code == 0
         occ = parse_config(payload).uncertain[0]
-        assert (occ.name, occ.pdf.min, occ.pdf.max, occ.nominal) == ("occ", 1000.0, 4000.0, 1500.0)
+        assert (occ.name, occ.min, occ.max, occ.nominal) == ("occ", 1000.0, 4000.0, 1500.0)
 
     @pytest.mark.parametrize(
         "financial",
@@ -529,8 +547,16 @@ class TestCliCommands:
          (["sweep", "--param", "efficiency", "--values", "0.35,nan"], "o/sub", False, 2),
          (["lcoe", "--design", "p=25,xp=5,xt=0.25,t=6,db=30"], "o", False, 2),
          (["lcoe", "--design", DESIGN], "o", True, 3),
-         (["sweep", "--param", "discount", "--fixed-design", DESIGN], "o/sub", True, 3)],
-        ids=["study-n0", "sweep-nan", "lcoe-out-of-box", "lcoe-overflow", "sweep-overflow"],
+         (["sweep", "--param", "discount", "--fixed-design", DESIGN], "o/sub", True, 3),
+         (["lcoe", "--design", DESIGN, "--threads", "0"], "o", False, 2),
+         (["lcoe", "--design", DESIGN, "--seed", "-1"], "o", False, 2),
+         (["sweep", "--param", "efficiency", "--values", ","], "o", False, 2),
+         (["lcoe", "--design", "p19,xp=5,xt=0.2913,t=6.24,db=30"], "o", False, 2),
+         # NaN passes the box comparisons; only ReactorDesign's finiteness check stops it
+         (["lcoe", "--design", "p=nan,xp=5,xt=0.2913,t=6.24,db=30"], "o", False, 2)],
+        ids=["study-n0", "sweep-nan", "lcoe-out-of-box", "lcoe-overflow", "sweep-overflow",
+             "threads-0", "seed-negative", "values-empty", "design-not-key-value",
+             "design-nan"],
     )
     def test_failing_command_writes_no_manifest(self, tmp_path, command, out, overflow,
                                                 expected):
@@ -543,19 +569,33 @@ class TestCliCommands:
     @pytest.mark.parametrize(
         ("command", "name"),
         [(["lcoe", "--design", DESIGN], "manifest.json"),
+         (["optimize"], "manifest.json"),
          (["optimize"], "optimize.csv"),
          (["compare"], "compare.csv")],
-        ids=["lcoe-manifest", "optimize-csv", "compare-csv"],
+        ids=["lcoe-manifest", "optimize-manifest", "optimize-csv", "compare-csv"],
     )
     def test_output_that_cannot_be_written_exits_2(self, tmp_path, capsys, command, name):
-        tiny_ga = {"ga": {"population": 8, "generations": 3, "elite_count": 2, "restarts": 1}}
         out = tmp_path / "o"
         (out / name).mkdir(parents=True)
-        argv = [*command, "--config", write_config(tmp_path, tiny_ga), "--out", str(out)]
+        argv = [*command, "--config", write_config(tmp_path, TINY_GA), "--out", str(out)]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert f"config error: output file {str(out / name)!r} cannot be written" in err
         assert "Traceback" not in err
+        # neither a new file without its manifest nor a manifest without its files
+        assert [p.name for p in out.iterdir()] == [name]
+
+    def test_failed_rerun_leaves_no_stale_manifest(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        argv = ["study", "--mode", "occ", "--n", "2", "--config", write_config(tmp_path, TINY_GA),
+                "--out", str(out)]
+        assert main([*argv, "--seed", "0"]) == 0
+        (out / "study_occ_stats.csv").unlink()
+        (out / "study_occ_stats.csv").mkdir()
+        assert main([*argv, "--seed", "1"]) == 2
+        assert "study_occ_stats.csv' cannot be written" in capsys.readouterr().err
+        # the seed-1 rows were written, so the seed-0 manifest must be gone
+        assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("command", [["lcoe", "--design", DESIGN], ["optimize"]],
                              ids=["lcoe", "optimize"])

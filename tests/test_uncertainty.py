@@ -3,6 +3,7 @@ exactness of the grid lattice, distributional checks on large draw counts,
 group masking, and the determinism contracts."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from microlcoe.uncertainty import (
     MAX_GRID_POINTS,
     MODE_GROUPS,
     STUDY_MODES,
-    Pdf,
     Scenario,
     UncertainParameter,
     default_uncertain_parameters,
@@ -25,9 +25,9 @@ from microlcoe.uncertainty import (
     stock_parameter,
 )
 
-OCC = UncertainParameter("occ", Pdf("uniform", 2500.0, 4000.0), 3000.0)
-URANIUM = UncertainParameter("c_yc", Pdf("triangular", 84.0, 156.0, mode=104.0), 104.0)
-SFTE = UncertainParameter("s_fte", Pdf("uniform", 120_000.0, 225_000.0), 150_000.0)
+OCC = UncertainParameter("occ", "uniform", 2500.0, 4000.0, None, 3000.0)
+URANIUM = UncertainParameter("c_yc", "triangular", 84.0, 156.0, 104.0, 104.0)
+SFTE = UncertainParameter("s_fte", "uniform", 120_000.0, 225_000.0, None, 150_000.0)
 
 
 class FixedUniform:
@@ -42,49 +42,58 @@ class FixedUniform:
 
 class TestPdf:
     def test_uniform_density(self):
-        assert pdf_density(OCC.pdf, 3000.0) == pytest.approx(1.0 / 1500.0, rel=1e-12)
+        assert pdf_density(OCC, 3000.0) == pytest.approx(1.0 / 1500.0, rel=1e-12)
 
     def test_triangular_peak(self):
-        assert pdf_density(URANIUM.pdf, 104.0) == pytest.approx(2.0 / 72.0, rel=1e-12)
+        assert pdf_density(URANIUM, 104.0) == pytest.approx(2.0 / 72.0, rel=1e-12)
 
     def test_triangular_endpoint(self):
-        assert pdf_density(URANIUM.pdf, 84.0) == 0.0
+        assert pdf_density(URANIUM, 84.0) == 0.0
 
     def test_outside_support(self):
-        assert pdf_density(OCC.pdf, 2499.9) == 0.0
-        assert pdf_density(OCC.pdf, 4000.1) == 0.0
-        assert pdf_density(URANIUM.pdf, 200.0) == 0.0
+        assert pdf_density(OCC, 2499.9) == 0.0
+        assert pdf_density(OCC, 4000.1) == 0.0
+        assert pdf_density(URANIUM, 200.0) == 0.0
 
-    @pytest.mark.parametrize("pdf", [OCC.pdf, URANIUM.pdf, Pdf("triangular", 0.0, 1.0, mode=0.0)])
-    def test_normalization(self, pdf):
+    @pytest.mark.parametrize(
+        "param",
+        [OCC, URANIUM,
+         UncertainParameter("p", "triangular", 0.0, 1.0, 0.0, 0.0),
+         UncertainParameter("p", "triangular", 0.0, 1.0, 1.0, 1.0)],
+        ids=["uniform", "triangular", "mode-at-min", "mode-at-max"],
+    )
+    def test_normalization(self, param):
         # hand-rolled trapezoid rule over 1e5 panels
-        x = np.linspace(pdf.min, pdf.max, 100_001)
-        y = pdf_density(pdf, x)
-        dx = (pdf.max - pdf.min) / 100_000
+        x = np.linspace(param.min, param.max, 100_001)
+        y = pdf_density(param, x)
+        dx = (param.max - param.min) / 100_000
         integral = dx * (0.5 * (y[0] + y[-1]) + y[1:-1].sum())
         assert integral == pytest.approx(1.0, abs=1e-6)
 
-    def test_invalid_pdfs(self):
-        with pytest.raises(ValueError):
-            Pdf("uniform", 10.0, 10.0)
-        with pytest.raises(ValueError):
-            Pdf("triangular", 0.0, 1.0, mode=2.0)
-        with pytest.raises(ValueError):
-            Pdf("triangular", 0.0, 1.0)
-        with pytest.raises(ValueError):
-            Pdf("uniform", 0.0, 1.0, mode=0.5)
-        with pytest.raises(ValueError):
-            Pdf("gaussian", 0.0, 1.0)
+    def test_mode_at_max_rises_to_its_peak(self):
+        param = UncertainParameter("p", "triangular", 0.0, 2.0, 2.0, 1.0)
+        assert pdf_density(param, [0.0, 1.0, 2.0]).tolist() == [0.0, 0.5, 1.0]
 
-    def test_nominal_outside_support_rejected(self):
-        with pytest.raises(ValueError):
-            UncertainParameter("occ", Pdf("uniform", 2500.0, 4000.0), 2000.0)
+    @pytest.mark.parametrize(
+        "spec,message",
+        [(("uniform", 10.0, 10.0, None, 10.0), "pdf requires min < max"),
+         (("triangular", 0.0, 1.0, 2.0, 0.5), "triangular pdf requires min <= mode <= max"),
+         (("triangular", 0.0, 1.0, None, 0.5), "triangular pdf requires min <= mode <= max"),
+         (("uniform", 0.0, 1.0, 0.5, 0.5), "uniform pdf takes no mode"),
+         (("gaussian", 0.0, 1.0, None, 0.5), "pdf kind must be one of"),
+         (("uniform", 2500.0, 4000.0, None, 2000.0), "nominal of p must lie within")],
+        ids=["empty-range", "mode-outside", "no-mode", "uniform-mode", "unknown-kind",
+             "nominal-outside"],
+    )
+    def test_invalid_parameters(self, spec, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            UncertainParameter("p", *spec)
 
     @pytest.mark.parametrize("points", [1, MAX_GRID_POINTS + 1])
     def test_grid_points_out_of_range_rejected(self, points):
         with pytest.raises(ValueError, match="grid_points"):
-            UncertainParameter("occ", OCC.pdf, 3000.0, grid_points=points)
-        assert UncertainParameter("occ", OCC.pdf, 3000.0, grid_points=MAX_GRID_POINTS)
+            replace(OCC, grid_points=points)
+        assert replace(OCC, grid_points=MAX_GRID_POINTS)
 
 
 class TestParameterGrid:
@@ -127,7 +136,7 @@ class TestRouletteSelect:
 
     def test_triangular_grid_frequencies(self):
         grid = parameter_grid(URANIUM)
-        weights = pdf_density(URANIUM.pdf, grid)
+        weights = pdf_density(URANIUM, grid)
         expected = weights / weights.sum()
         rng = make_rng(123)
         counts = np.zeros(len(grid))
@@ -138,7 +147,7 @@ class TestRouletteSelect:
 
     def test_uniform_grid_frequencies_within_five_sigma(self):
         grid = parameter_grid(OCC)
-        weights = pdf_density(OCC.pdf, grid)
+        weights = pdf_density(OCC, grid)
         rng = make_rng(321)
         draws = 100_000
         counts = np.zeros(len(grid))
@@ -150,7 +159,7 @@ class TestRouletteSelect:
 
     def test_triangular_mean_matches_weighted_grid_mean(self):
         grid = parameter_grid(URANIUM)
-        weights = pdf_density(URANIUM.pdf, grid)
+        weights = pdf_density(URANIUM, grid)
         analytic = float(np.sum(grid * weights) / np.sum(weights))
         rng = make_rng(555)
         draws = 100_000
@@ -247,6 +256,10 @@ class TestGenerateStudy:
         short = generate_study(params, "all", n=50, seed=8)
         assert long[:50] == short
 
+    def test_no_scenarios_rejected(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            generate_study(default_uncertain_parameters(), "all", n=0)
+
     def test_ids_sequential(self):
         params = default_uncertain_parameters()
         study = generate_study(params, "fuel", n=10, seed=0)
@@ -259,9 +272,9 @@ class TestStockParameter:
         assert stock_parameter("c_yc") == URANIUM
 
     def test_triangular_mode_follows_the_nominal(self):
-        assert stock_parameter("c_yc", nominal=100.0).pdf.mode == 100.0
-        assert stock_parameter("occ", pdf="triangular", nominal=3100.0).pdf.mode == 3100.0
-        assert stock_parameter("c_yc", pdf="uniform").pdf.mode is None
+        assert stock_parameter("c_yc", nominal=100.0).mode == 100.0
+        assert stock_parameter("occ", pdf="triangular", nominal=3100.0).mode == 3100.0
+        assert stock_parameter("c_yc", pdf="uniform").mode is None
 
     def test_unknown_override_rejected(self):
         with pytest.raises(TypeError, match="midpoint"):
