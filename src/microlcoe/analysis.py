@@ -29,6 +29,7 @@ from .costs import (
 )
 from .optimize import (
     DEFAULT_PENALTY_WEIGHT,
+    EvaluationError,
     GaConfig,
     OptimizationResult,
     optimize_design,
@@ -272,21 +273,19 @@ def sensitivity_sweep(
     values = [float(v) for v in values]
     rows = []
     for index, (value, fin_i) in enumerate(zip(values, swept_params(parameter, values, fin))):
-        if design is None:
-            result = optimize_design(
-                costs,
-                fin_i,
-                ga_config=ga_config,
-                penalty_weight=penalty_weight,
-                seed=seed_path(seed, STREAM_SWEEP, index),
-            )
-            rows.append(
-                SweepRow(parameter, value, result.best_design, result.breakdown, True)
-            )
-        else:
-            rows.append(
-                SweepRow(parameter, value, design, lcoe_breakdown(design, costs, fin_i), False)
-            )
+        try:
+            if design is None:
+                result = optimize_design(
+                    costs, fin_i, ga_config=ga_config, penalty_weight=penalty_weight,
+                    seed=seed_path(seed, STREAM_SWEEP, index),
+                )
+                row = SweepRow(parameter, value, result.best_design, result.breakdown, True)
+            else:
+                row = SweepRow(parameter, value, design, lcoe_breakdown(design, costs, fin_i), False)
+        except (EvaluationError, ValueError) as exc:  # same type, naming the failing value
+            exc.args = (f"{exc} ({parameter} value {value})", *exc.args[1:])
+            raise
+        rows.append(row)
     return rows
 
 

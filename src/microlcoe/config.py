@@ -18,8 +18,10 @@ from .analysis import BenchmarkTable
 from .costs import (
     CostInputs,
     DEFAULT_COSTS,
+    DESIGN_BOUNDS,
     FinancialParams,
     LB_U3O8_PER_KG_U,
+    effective_capacity_factor,
 )
 from .optimize import DEFAULT_PENALTY_WEIGHT, GaConfig, SaConfig
 from .uncertainty import MAX_GRID_POINTS, STOCK_UNCERTAINTY, stock_parameter
@@ -67,6 +69,24 @@ class StudyConfig:
             object.__setattr__(self, "uncertain", _parse_uncertainty({}, self.costs))
         if not 0.0 <= self.penalty_weight < math.inf:
             raise ConfigError("penalty_weight must be finite and >= 0")
+        # The burnup residual db*(1 + 1/cf(t)) - 14.8*x_p depends on no cost
+        # and is monotone in each design coordinate, so its extremes over the
+        # box sit at these two corners. If it or its penalty overflows there,
+        # the search would meet Infinity; reject the input instead.
+        (xp_low, xp_high), (t_low, t_high), (db_low, db_high) = (
+            DESIGN_BOUNDS[name] for name in ("x_p", "t_refuel", "db")
+        )
+        for x_p, t_refuel, db in ((xp_low, t_low, db_high), (xp_high, t_high, db_low)):
+            cf = effective_capacity_factor(self.fin, t_refuel)
+            residual = db * (1.0 + 1.0 / cf) - 14.8 * x_p
+            penalty = self.penalty_weight * residual * residual  # as the objective forms it
+            if not (math.isfinite(residual * residual) and math.isfinite(penalty)):
+                raise ConfigError(
+                    f"the burnup residual penalty overflows: financial.capacity_factor = "
+                    f"{self.fin.cf_base:g}, financial.downtime_years = {self.fin.t_down:g} "
+                    f"and penalty_weight = {self.penalty_weight:g} give a residual of "
+                    f"{residual:g} MWd/kgU at x_p = {x_p:g}, t_refuel = {t_refuel:g}, db = {db:g}"
+                )
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         if self.seed < 0:

@@ -295,14 +295,6 @@ def effective_capacity_factor(fin: FinancialParams, t_refuel):
     return _cf_raw(fin, t_refuel)
 
 
-def _fuel_terms(m_p, m_f, swu, costs: CostInputs, loss: float):
-    uranium = costs.c_yc * m_f / (1.0 - loss)
-    conversion = costs.c_conv * m_f
-    enrichment = costs.c_swu * swu * m_p
-    fabrication = costs.c_fab * m_p
-    return uranium, conversion, enrichment, fabrication
-
-
 def ptc_credit_per_mwh(fin: FinancialParams):
     """Production tax credit levelized over the project life, $/MWh.
 
@@ -343,7 +335,7 @@ def compile_lcoe(costs: CostInputs, fin: FinancialParams) -> Callable[..., tuple
     """
     credit = ptc_credit_per_mwh(fin)
     scale = _escalation_factor(fin)
-    r, eta, x_f = fin.r, fin.eta, fin.x_f
+    r, eta, x_f, loss = fin.r, fin.eta, fin.x_f, fin.loss
     crf_life = _crf_raw(r, fin.lt)
     sff_life = _sff_raw(r, fin.lt)
     fixed_om = costs.n_fte * costs.s_fte + costs.fom
@@ -358,8 +350,11 @@ def compile_lcoe(costs: CostInputs, fin: FinancialParams) -> Callable[..., tuple
         feed_ratio = fuelcycle._feed_ratio_raw(x_p, x_t, x_f)
         m_f = feed_ratio * m_p
         swu = fuelcycle._swu_raw(x_p, x_t, feed_ratio, value_feed)
-        uranium, conversion, enrichment, fabrication = _fuel_terms(m_p, m_f, swu, costs, fin.loss)
-        batch_total = uranium + conversion + enrichment + fabrication
+        # Uranium, conversion, enrichment and fabrication for one batch, $.
+        batch_total = (
+            costs.c_yc * m_f / (1.0 - loss) + costs.c_conv * m_f
+            + costs.c_swu * swu * m_p + costs.c_fab * m_p
+        )
         energy = p_elec * HOURS_PER_YEAR * cf
         capital = scale * (costs.occ * p_elec * 1000.0 * crf_life) / energy
         om = scale * (fixed_om + costs.vom * energy) / energy
@@ -375,11 +370,10 @@ def lcoe_terms(p_elec, x_p, x_t, t_refuel, db, costs: CostInputs, fin: Financial
     """Levelized-cost terms of the design coordinates, through :func:`compile_lcoe`.
 
     Returns ``(capital, om, fuel, spent, decommissioning, ptc_credit, total,
-    annual_energy)`` elementwise for scalar or array design coordinates.
-    Compiles the chain on every call; callers that evaluate many designs
-    under one ``(costs, fin)`` compile it once themselves. Assumes in-domain
-    inputs; go through :class:`ReactorDesign` (or check the design box
-    yourself) before calling.
+    annual_energy)`` elementwise for in-box scalar or array coordinates. No
+    program path calls it: it is kept only as the name the bench tracer
+    wraps (through ``optimize.lcoe_terms``), and its deletion waits for the
+    bench to trace :func:`compile_lcoe` instead (ROADMAP item 3).
     """
     return compile_lcoe(costs, fin)(p_elec, x_p, x_t, t_refuel, db)[:8]
 
@@ -390,7 +384,7 @@ def lcoe_breakdown(design: ReactorDesign, costs: CostInputs, fin: FinancialParam
     Deterministic: repeated calls with identical inputs return bitwise
     identical numbers.
     """
-    terms = lcoe_terms(
-        design.p_elec, design.x_p, design.x_t, design.t_refuel, design.db, costs, fin
+    terms = compile_lcoe(costs, fin)(
+        design.p_elec, design.x_p, design.x_t, design.t_refuel, design.db
     )
-    return LcoeBreakdown(*terms)
+    return LcoeBreakdown(*terms[:8])

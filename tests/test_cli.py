@@ -40,6 +40,8 @@ SAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "config.sample.json"
 
 DESIGN = "p=19.13,xp=5,xt=0.2913,t=6.24,db=30"
 
+OVERFLOWED_TERM = "numerical error: lcoe component decommissioning is not finite"
+
 
 def every_key_changed():
     """A valid config file that sets every key to a value other than its default."""
@@ -447,13 +449,27 @@ class TestCliCommands:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
-    def test_bad_config_exits_2(self, tmp_path, capsys):
-        path = write_config(tmp_path, {"surprise": 1})
+    @pytest.mark.parametrize(
+        ("payload", "message"),
+        [({"surprise": 1}, "unknown key surprise"),
+         ({"financial": 0.05}, "financial must be an object"),
+         ({"uncertainty": {"occ": []}}, "uncertainty.occ must be an object"),
+         ({"benchmarks": {"name": "x", "lcoe": 1.0}}, "benchmarks must be a list"),
+         ({"benchmarks": [{"name": "x"}]}, "benchmarks[0] needs both name and lcoe"),
+         ({"benchmarks": [{"name": "x", "lcoe": 1.0}, {"name": "x", "lcoe": 2.0}]},
+          "benchmarks: benchmark names must be unique"),
+         (None, "cannot read config")],  # the config file does not exist
+        ids=["unknown-key", "section-not-object", "spec-not-object", "benchmarks-not-list",
+             "benchmark-without-lcoe", "duplicate-benchmark", "unreadable-file"],
+    )
+    def test_bad_config_exits_2(self, tmp_path, capsys, payload, message):
+        path = str(tmp_path / "missing.json") if payload is None else write_config(tmp_path, payload)
         code = main(
             ["lcoe", "--config", path, "--design", "p=19,xp=5,xt=0.25,t=6,db=30",
              "--out", str(tmp_path / "o")]
         )
         assert code == 2
+        assert f"config error: {message}" in capsys.readouterr().err
 
     def test_non_finite_config_exits_2_with_path(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -496,6 +512,40 @@ class TestCliCommands:
         assert code == 2
         assert "config error: financial: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["optimize"], ["lcoe", "--design", DESIGN]],
+                             ids=["optimize", "lcoe"])
+    @pytest.mark.parametrize(
+        ("payload", "named"),
+        [({"financial": {"capacity_factor": 1e-300}}, "financial.capacity_factor = 1e-300"),
+         ({"financial": {"downtime_years": 1e300}}, "financial.downtime_years = 1e+300"),
+         ({"penalty_weight": 1e308}, "penalty_weight = 1e+308")],
+        ids=["capacity-factor", "downtime", "penalty-weight"],
+    )
+    def test_overflowing_burnup_residual_exits_2_before_any_search(
+        self, tmp_path, capsys, monkeypatch, payload, named, command
+    ):
+        def no_search(*args, **kwargs):
+            pytest.fail("the burnup residual is checked before any search")
+
+        monkeypatch.setattr("microlcoe.cli.optimize_design", no_search)
+        path = write_config(tmp_path, payload)
+        assert main([*command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: the burnup residual penalty overflows: " in err
+        assert named in err
+        for key in ("financial.capacity_factor", "financial.downtime_years", "penalty_weight"):
+            assert f"{key} = " in err
+        assert not (tmp_path / "o").exists()
+
+    def test_downtime_flag_that_overflows_the_residual_exits_2(self, tmp_path, capsys):
+        payload = {"financial": {"downtime_model": False, "downtime_years": 1e300}}
+        argv = ["lcoe", "--config", write_config(tmp_path, payload), "--design", DESIGN,
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main([*argv, "--downtime", "on"]) == 2
+        assert "financial.downtime_years = 1e+300" in capsys.readouterr().err
+
     def test_inflation_mode_flag_that_overflows_compounding_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, {"financial": {"inflation_rate": 1e308}})
         argv = ["lcoe", "--config", path, "--design", DESIGN, "--out", str(tmp_path / "o")]
@@ -525,20 +575,26 @@ class TestCliCommands:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
-        "command",
-        [["lcoe", "--design", DESIGN],
-         ["sweep", "--param", "discount", "--fixed-design", DESIGN]],
-        ids=["lcoe", "sweep"],
+        ("command", "head", "tail"),
+        [(["lcoe", "--design", DESIGN], OVERFLOWED_TERM, "is not finite"),
+         (["sweep", "--param", "discount", "--fixed-design", DESIGN], OVERFLOWED_TERM,
+          "is not finite (discount_rate value 0.03)"),
+         # a re-optimizing sweep meets the overflow in a population, where numpy warns
+         pytest.param(["sweep", "--param", "efficiency"],
+                      "numerical error: objective is not finite at design [",
+                      "] (efficiency value 0.35)",
+                      marks=pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning"))],
+        ids=["lcoe", "sweep", "sweep-reoptimized"],
     )
-    def test_overflowing_cost_exits_3(self, tmp_path, capsys, command):
+    def test_overflowing_cost_exits_3(self, tmp_path, capsys, command, head, tail):
         # a finite decommissioning cost of 1e306 $/kW overflows its charge
-        path = write_config(tmp_path, {"costs": {"c_dec": 1e306}})
+        path = write_config(tmp_path, {"costs": {"c_dec": 1e306}, **TINY_GA})
         out = tmp_path / "o"
         code = main([*command, "--config", path, "--out", str(out)])
         assert code == 3
-        assert "numerical error: lcoe component decommissioning is not finite" in (
-            capsys.readouterr().err
-        )
+        err = capsys.readouterr().err
+        assert head in err
+        assert err.rstrip().endswith(tail)  # a failing sweep names its value
         assert not list(out.glob("*.csv"))
 
     @pytest.mark.parametrize(

@@ -89,10 +89,15 @@ class TestAnnuityFactors:
     @pytest.mark.parametrize(
         "factor", [capital_recovery_factor, sinking_fund_factor, present_value_annuity_factor]
     )
-    @pytest.mark.parametrize("n", [0.0, -5.0])
-    def test_horizon_errors(self, factor, n):
-        with pytest.raises(ValueError):
-            factor(0.05, n)
+    @pytest.mark.parametrize(
+        ("r", "n", "message"),
+        [pytest.param(0.05, 0.0, "horizon n", id="0.0"),
+         pytest.param(0.05, -5.0, "horizon n", id="-5.0"),
+         pytest.param(-0.01, 5.0, "rate r must be >= 0", id="negative-rate")],
+    )
+    def test_horizon_errors(self, factor, r, n, message):
+        with pytest.raises(ValueError, match=message):
+            factor(r, n)
 
 
 class TestEffectiveCapacityFactor:
@@ -106,6 +111,11 @@ class TestEffectiveCapacityFactor:
     def test_model_off(self):
         assert effective_capacity_factor(FLAT_CF, 2.0) == 0.93
         assert effective_capacity_factor(FLAT_CF, 10.0) == 0.93
+
+    @pytest.mark.parametrize("t_refuel", [0.0, -1.0])
+    def test_nonpositive_interval_rejected(self, t_refuel):
+        with pytest.raises(ValueError, match="t_refuel must be positive"):
+            effective_capacity_factor(DEFAULT_FINANCE, t_refuel)
 
 
 class TestAnnualEnergy:
@@ -211,6 +221,15 @@ class TestPtcCredit:
             FinancialParams(t_ptc=25.0, lt=20.0)
 
 
+# The start of the message each FinancialParams field is rejected with.
+FINANCIAL_FIELD_MESSAGES = {
+    "r": "discount rate r", "infl": "inflation rate", "lt": "lifetime",
+    "t_ptc": "PTC duration t_ptc", "t_down": "downtime", "ptc_rate": "PTC rate",
+    "cf_base": "cf_base", "x_f": "feed assay x_f", "loss": "conversion loss",
+    "inflation_mode": "inflation_mode",
+}
+
+
 class TestFinancialParamsValidation:
     @pytest.mark.parametrize(
         "field,value",
@@ -221,10 +240,14 @@ class TestFinancialParamsValidation:
             ("t_ptc", float("nan")), ("t_ptc", 0.0), ("t_ptc", -1.0),
             ("t_down", float("nan")), ("t_down", float("inf")), ("t_down", -0.1),
             ("ptc_rate", float("nan")), ("ptc_rate", float("inf")), ("ptc_rate", -1.0),
+            ("cf_base", float("nan")), ("cf_base", 0.0), ("cf_base", 1.5),
+            ("x_f", 0.3), ("x_f", 5.0),
+            ("loss", -0.01), ("loss", 1.0),
+            ("inflation_mode", "nominal"),
         ],
     )
     def test_rejects_non_finite_and_out_of_range(self, field, value):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=FINANCIAL_FIELD_MESSAGES[field]):
             replace(DEFAULT_FINANCE, **{field: value})
 
     @pytest.mark.parametrize(
@@ -283,6 +306,11 @@ class TestLcoeBreakdown:
         huge = replace(DEFAULT_COSTS, c_dec=1e306)
         with pytest.raises(ValueError, match="decommissioning is not finite"):
             lcoe_breakdown(BASE_DESIGN, huge, DEFAULT_FINANCE)
+
+    def test_total_must_equal_its_components(self):
+        bd = lcoe_breakdown(BASE_DESIGN, DEFAULT_COSTS, DEFAULT_FINANCE)
+        with pytest.raises(ValueError, match="total does not equal the sum of its components"):
+            replace(bd, total=bd.total + 1e-3)
 
     def test_deterministic(self):
         a = lcoe_breakdown(BASE_DESIGN, DEFAULT_COSTS, DEFAULT_FINANCE)

@@ -112,6 +112,22 @@ class TestMassFlows:
         with pytest.raises(ValueError):
             EnrichmentAssays(x_p=5.0, x_t=0.8, x_f=0.711)
 
+    @pytest.mark.parametrize(
+        ("build", "message"),
+        [(lambda: EnrichmentAssays(x_p=np.nan, x_t=0.25), "assays must be finite"),
+         (lambda: EnrichmentAssays(x_p=100.0, x_t=0.25), "strictly inside"),
+         (lambda: EnrichmentAssays(x_p=5.0, x_t=0.0), "strictly inside"),
+         (lambda: EnrichmentAssays(x_p=0.5, x_t=0.25), "x_p must not be below feed assay"),
+         (lambda: MassFlows(m_p=np.inf, m_f=2.0, m_t=1.0), "mass flows must be finite"),
+         (lambda: MassFlows(m_p=0.0, m_f=1.0, m_t=1.0), "m_p must be positive"),
+         (lambda: MassFlows(m_p=2.0, m_f=1.0, m_t=-1.0), "m_f cannot be below product mass")],
+        ids=["assay-nan", "product-100", "tails-0", "product-below-feed", "mass-inf",
+             "product-0", "feed-below-product"],
+    )
+    def test_constructor_rejects(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_nonpositive_mass_rejected(self):
         with pytest.raises(ValueError):
             mass_flows(BASE_ASSAYS, 0.0)

@@ -230,6 +230,10 @@ class TestSampleScenario:
         with pytest.raises(ValueError, match=message):
             Scenario(id=0, mode="everything", costs=DEFAULT_COSTS, grid_indices={})
 
+    def test_negative_id_rejected(self):
+        with pytest.raises(ValueError, match="scenario id must be >= 0"):
+            Scenario(id=-1, mode="all", costs=DEFAULT_COSTS, grid_indices={})
+
 
 class TestGenerateStudy:
     def test_single_nominal_scenario(self):
