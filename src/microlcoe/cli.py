@@ -135,23 +135,27 @@ def parse_design(text: str) -> ReactorDesign:
         raise ConfigError(f"design: {exc}") from exc
 
 
+# CLI flag -> (argparse dest, the config with the flag's value applied)
+_OVERRIDES = {
+    "--downtime": (
+        "downtime", lambda c, v: replace(c, fin=replace(c.fin, downtime_model=v == "on"))),
+    "--inflation-mode": (
+        "inflation_mode", lambda c, v: replace(c, fin=replace(c.fin, inflation_mode=v))),
+    "--seed": ("seed", lambda c, v: replace(c, seed=v)),
+    "--out": ("out", lambda c, v: replace(c, output_dir=v)),
+    "--threads": ("threads", lambda c, v: replace(c, threads=v)),
+}
+
+
 def _apply_overrides(config: StudyConfig, args: argparse.Namespace) -> StudyConfig:
-    fin = config.fin
-    if args.downtime is not None:
-        fin = replace(fin, downtime_model=(args.downtime == "on"))
-    if args.inflation_mode is not None:
-        try:
-            fin = replace(fin, inflation_mode=args.inflation_mode)
-        except ValueError as exc:  # an inflation rate the escalated mode cannot compound
-            raise ConfigError(f"--inflation-mode {args.inflation_mode}: {exc}") from exc
-    updates = {"fin": fin}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.out is not None:
-        updates["output_dir"] = args.out
-    if args.threads is not None:
-        updates["threads"] = args.threads
-    return replace(config, **updates)
+    for flag, (dest, update) in _OVERRIDES.items():
+        value = getattr(args, dest)
+        if value is not None:
+            try:
+                config = update(config, value)
+            except ValueError as exc:  # ConfigError included
+                raise ConfigError(f"{flag} {value}: {exc}") from exc
+    return config
 
 
 def _manifest(config: StudyConfig, command: str, argv, outputs) -> dict:

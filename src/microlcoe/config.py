@@ -23,6 +23,7 @@ from .costs import (
     LB_U3O8_PER_KG_U,
     effective_capacity_factor,
 )
+from .fuelcycle import burnup_residual
 from .optimize import DEFAULT_PENALTY_WEIGHT, GaConfig, SaConfig
 from .uncertainty import MAX_GRID_POINTS, STOCK_UNCERTAINTY, stock_parameter
 
@@ -78,7 +79,7 @@ class StudyConfig:
         )
         for x_p, t_refuel, db in ((xp_low, t_low, db_high), (xp_high, t_high, db_low)):
             cf = effective_capacity_factor(self.fin, t_refuel)
-            residual = db * (1.0 + 1.0 / cf) - 14.8 * x_p
+            residual = burnup_residual(x_p, db, t_refuel, cf)  # as the chain forms it
             penalty = self.penalty_weight * residual * residual  # as the objective forms it
             if not (math.isfinite(residual * residual) and math.isfinite(penalty)):
                 raise ConfigError(

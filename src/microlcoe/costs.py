@@ -182,7 +182,7 @@ class FinancialParams:
 
 @dataclass(frozen=True)
 class LcoeBreakdown:
-    """Levelized cost components, $/MWh, and the annual energy basis."""
+    """Levelized cost components, $/MWh, the energy basis and the burnup residual."""
 
     capital: float
     om: float
@@ -192,6 +192,7 @@ class LcoeBreakdown:
     ptc_credit: float
     total: float
     annual_energy: float  # MWh/yr
+    burnup_residual: float  # MWd/kgU
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:
@@ -379,7 +380,8 @@ def lcoe_terms(p_elec, x_p, x_t, t_refuel, db, costs: CostInputs, fin: Financial
 
 
 def lcoe_breakdown(design: ReactorDesign, costs: CostInputs, fin: FinancialParams) -> LcoeBreakdown:
-    """Levelized cost of energy, $/MWh, split into its components.
+    """Levelized cost of energy, $/MWh, split into its components: every
+    output of the :func:`compile_lcoe` chain, the burnup residual included.
 
     Deterministic: repeated calls with identical inputs return bitwise
     identical numbers.
@@ -387,4 +389,4 @@ def lcoe_breakdown(design: ReactorDesign, costs: CostInputs, fin: FinancialParam
     terms = compile_lcoe(costs, fin)(
         design.p_elec, design.x_p, design.x_t, design.t_refuel, design.db
     )
-    return LcoeBreakdown(*terms[:8])
+    return LcoeBreakdown(*terms)

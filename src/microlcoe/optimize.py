@@ -31,6 +31,7 @@ from .costs import (
     ReactorDesign,
     bounds_arrays,
     compile_lcoe,
+    lcoe_breakdown,
 )
 from .rng import STREAM_RESTART, SeedLike, make_rng, seed_path
 
@@ -151,16 +152,14 @@ def penalized_objective(
 
     The cascade mass balance is an identity of the mass-flow construction, so
     only the burnup relation needs penalizing. With ``penalty_weight`` zero
-    this is exactly the levelized cost. Computed from the compiled chain, not
-    through :func:`make_design_objective`, it is a scalar check of that objective.
+    this is exactly the levelized cost. Computed through :func:`lcoe_breakdown`,
+    not :func:`make_design_objective`, it is a scalar check of that objective.
     """
     if not 0.0 <= penalty_weight < np.inf:
         raise ValueError("penalty_weight must be finite and >= 0")
-    terms = compile_lcoe(costs, fin)(
-        design.p_elec, design.x_p, design.x_t, design.t_refuel, design.db
-    )
-    total, residual = terms[6], terms[8]
-    return total + penalty_weight * residual * residual
+    breakdown = lcoe_breakdown(design, costs, fin)
+    residual = breakdown.burnup_residual
+    return breakdown.total + penalty_weight * residual * residual
 
 
 def make_design_objective(
@@ -437,11 +436,8 @@ def optimize_design(
         )
 
     design = ReactorDesign.from_array(raw.x)
-    terms = compile_lcoe(costs, fin)(
-        design.p_elec, design.x_p, design.x_t, design.t_refuel, design.db
-    )
-    breakdown = LcoeBreakdown(*terms[:8])
-    residual = float(terms[8])
+    breakdown = lcoe_breakdown(design, costs, fin)
+    residual = breakdown.burnup_residual
     return OptimizationResult(
         best_design=design,
         lcoe=float(breakdown.total),

@@ -2,12 +2,14 @@
 the command-line surface: subcommands, exit codes, outputs, manifests."""
 
 import csv
+import itertools
 import json
 import subprocess
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from microlcoe.cli import main, parse_design
@@ -19,7 +21,8 @@ from microlcoe.config import (
     parse_config,
     resolved_dict,
 )
-from microlcoe.costs import DEFAULT_COSTS, LB_U3O8_PER_KG_U
+from microlcoe.costs import DEFAULT_COSTS, LB_U3O8_PER_KG_U, bounds_arrays, compile_lcoe
+from microlcoe.fuelcycle import burnup_residual
 from microlcoe.uncertainty import (
     STOCK_UNCERTAINTY,
     UncertainParameter,
@@ -330,6 +333,32 @@ class TestStrictParsing:
             StudyConfig(penalty_weight=float("nan"))
 
     @pytest.mark.parametrize(
+        ("financial", "ulps"),
+        [({}, 0), ({"capacity_factor": 0.8}, 0), ({"downtime_years": 1.0}, 0),
+         # with the downtime model off the residual does not depend on
+         # t_refuel, so corners that differ only in it tie up to rounding:
+         # at stock settings t_refuel = 10 gives a maximum 4 ULPs above t = 2's
+         ({"downtime_model": False}, 8)],
+        ids=["stock", "cf-0.8", "t-down-1", "downtime-off"],
+    )
+    def test_residual_check_corners_are_the_box_extremes(self, monkeypatch, financial, ulps):
+        # the overflow check costs the residual at two corners only, which
+        # rests on those being its minimum and maximum over the whole box
+        seen = []
+
+        def recording(*args):
+            seen.append(burnup_residual(*args))
+            return seen[-1]
+
+        monkeypatch.setattr("microlcoe.config.burnup_residual", recording)
+        config = parse_config({"financial": financial})
+        corners = np.array(list(itertools.product(*zip(*bounds_arrays()))))
+        chain = compile_lcoe(config.costs, config.fin)(*corners.T)[8]
+        assert len(corners) == 32 and len(seen) == 2
+        extremes = np.array([chain.min(), chain.max()])
+        assert np.all(np.abs(np.sort(seen) - extremes) <= ulps * np.spacing(np.abs(extremes)))
+
+    @pytest.mark.parametrize(
         ("make", "digest"),
         [(StudyConfig, "3b362cd7fdbf0e96ee68d3e289a8d2123b2ede44cbcbbae156c9d78a37b7cc2d"),
          (lambda: load_config(str(SAMPLE_CONFIG)),
@@ -544,7 +573,9 @@ class TestCliCommands:
         assert main(argv) == 0
         capsys.readouterr()
         assert main([*argv, "--downtime", "on"]) == 2
-        assert "financial.downtime_years = 1e+300" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error: --downtime on: the burnup residual penalty overflows: " in err
+        assert "financial.downtime_years = 1e+300" in err
 
     def test_inflation_mode_flag_that_overflows_compounding_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, {"financial": {"inflation_rate": 1e308}})
@@ -553,6 +584,16 @@ class TestCliCommands:
         capsys.readouterr()
         assert main([*argv, "--inflation-mode", "escalated"]) == 2
         assert "config error: --inflation-mode escalated: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("flag", "message"),
+        [(["--threads", "0"], "config error: --threads 0: threads must be >= 1"),
+         (["--seed", "-1"], "config error: --seed -1: seed must be >= 0")],
+        ids=["threads-0", "seed-negative"],
+    )
+    def test_flag_error_names_the_flag(self, tmp_path, capsys, flag, message):
+        assert main(["lcoe", "--design", DESIGN, *flag, "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("threads", ["1", "2"])

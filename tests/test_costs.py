@@ -4,7 +4,7 @@ oracle values, plus the module's algebraic invariants."""
 import itertools
 import math
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -25,6 +25,7 @@ from microlcoe.costs import (
     ptc_credit_per_mwh,
     sinking_fund_factor,
 )
+from microlcoe.fuelcycle import burnup_residual
 
 BASE_DESIGN = ReactorDesign(p_elec=19.13, x_p=5.0, x_t=0.2913, t_refuel=6.24, db=30.0)
 FLAT_CF = replace(DEFAULT_FINANCE, downtime_model=False)
@@ -316,6 +317,27 @@ class TestLcoeBreakdown:
         a = lcoe_breakdown(BASE_DESIGN, DEFAULT_COSTS, DEFAULT_FINANCE)
         b = lcoe_breakdown(BASE_DESIGN, DEFAULT_COSTS, DEFAULT_FINANCE)
         assert a == b
+
+    def test_is_every_output_of_the_chain(self):
+        terms = compile_lcoe(DEFAULT_COSTS, DEFAULT_FINANCE)(*BASE_DESIGN.as_array().tolist())
+        assert astuple(lcoe_breakdown(BASE_DESIGN, DEFAULT_COSTS, DEFAULT_FINANCE)) == terms
+
+    @pytest.mark.parametrize(
+        "fin",
+        [DEFAULT_FINANCE, replace(DEFAULT_FINANCE, inflation_mode="escalated"), FLAT_CF,
+         replace(DEFAULT_FINANCE, t_down=0.0)],
+        ids=["stock", "escalated", "downtime-off", "zero-downtime"],
+    )
+    def test_burnup_residual_is_the_fuelcycle_kernel(self, fin):
+        # bit for bit: the breakdown's residual is the one the fuel-cycle
+        # module defines, at the design's effective capacity factor
+        low, high = bounds_arrays()
+        rng = np.random.default_rng(21)
+        for row in low + rng.random((200, 5)) * (high - low):
+            d = ReactorDesign.from_array(row)
+            cf = effective_capacity_factor(fin, d.t_refuel)
+            expected = burnup_residual(d.x_p, d.db, d.t_refuel, cf)
+            assert lcoe_breakdown(d, DEFAULT_COSTS, fin).burnup_residual == expected
 
     def test_additivity_fuzz(self):
         rng = np.random.default_rng(314)

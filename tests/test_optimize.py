@@ -118,6 +118,13 @@ class TestPenalizedObjective:
         with pytest.raises(ValueError):
             make_design_objective(DEFAULT_COSTS, DEFAULT_FINANCE, weight)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_term_raises_by_name(self):
+        # costed through lcoe_breakdown, an overflowed term is an error, not inf
+        huge = replace(DEFAULT_COSTS, c_dec=1e306)
+        with pytest.raises(ValueError, match="lcoe component decommissioning is not finite"):
+            penalized_objective(BASE_DESIGN, huge, DEFAULT_FINANCE, 0.05)
+
     def test_weight_scales_quadratically(self):
         base = lcoe_breakdown(BASE_DESIGN, DEFAULT_COSTS, FLAT_CF).total
         one = penalized_objective(BASE_DESIGN, DEFAULT_COSTS, FLAT_CF, 0.05) - base
@@ -506,6 +513,16 @@ class TestOptimizeDesign:
         )
         assert result.lcoe > 0.0
         assert len(result.restart_bests) == QUICK_SA.restarts
+
+    @pytest.mark.parametrize("method", ["ga", "sa"])
+    def test_breakdown_is_the_best_designs_lcoe_breakdown(self, method):
+        result = optimize_design(DEFAULT_COSTS, DEFAULT_FINANCE, method=method,
+                                 ga_config=QUICK_GA, sa_config=QUICK_SA, seed=2)
+        breakdown = lcoe_breakdown(result.best_design, DEFAULT_COSTS, DEFAULT_FINANCE)
+        assert result.breakdown == breakdown
+        assert result.burnup_residual == breakdown.burnup_residual
+        residual = breakdown.burnup_residual
+        assert result.penalty_value == 0.05 * residual * residual  # as the objective forms it
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
