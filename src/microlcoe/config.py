@@ -178,12 +178,16 @@ def _read_keys(section: dict, keys: dict, like, path: str) -> dict:
 
 
 def _parse_section(section, name: str, keys: dict, default):
+    """A rejection names the section, or the dotted keys of the fields that a
+    :class:`FieldError` names."""
     _reject_unknown(_require_mapping(section, name), keys, name)
     values = _read_keys(section, keys, default, name)
     try:
         return replace(default, **values)
     except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
+        key_of = {attr: key for key, attr in keys.items()}
+        at = [f"{name}.{key_of[attr]}" for attr in getattr(exc, "fields", ())]
+        raise ConfigError(f"{' / '.join(at) or name}: {exc}") from exc
 
 
 def _parse_costs(section) -> CostInputs:

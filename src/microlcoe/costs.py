@@ -44,6 +44,7 @@ __all__ = [
     "ReactorDesign",
     "CostInputs",
     "FinancialParams",
+    "FieldError",
     "LcoeBreakdown",
     "DEFAULT_COSTS",
     "DEFAULT_FINANCE",
@@ -116,6 +117,14 @@ class CostInputs:
                 raise ValueError(f"cost input {name} must be finite and >= 0")
 
 
+class FieldError(ValueError):
+    """A rejected parameter value; ``fields`` names the fields of the rule it breaks."""
+
+    def __init__(self, message: str, *fields: str):
+        super().__init__(message)
+        self.fields = fields
+
+
 @dataclass(frozen=True)
 class FinancialParams:
     """Financing, performance and policy assumptions held fixed per run."""
@@ -137,42 +146,47 @@ class FinancialParams:
         # Written as `not (ok)` so that NaN, which fails every comparison,
         # is rejected too.
         if not 0.0 <= self.r < np.inf:
-            raise ValueError("discount rate r must be finite and >= 0")
+            raise FieldError("discount rate r must be finite and >= 0", "r")
         if not 0.0 <= self.infl < np.inf:
-            raise ValueError("inflation rate must be finite and >= 0")
+            raise FieldError("inflation rate must be finite and >= 0", "infl")
         if not 0.0 < self.lt < np.inf:
-            raise ValueError("lifetime must be finite and positive")
+            raise FieldError("lifetime must be finite and positive", "lt")
         if not 0.0 <= self.ptc_rate < np.inf:
-            raise ValueError("PTC rate must be finite and >= 0")
+            raise FieldError("PTC rate must be finite and >= 0", "ptc_rate")
         if not 0.0 < self.cf_base <= 1.0:
-            raise ValueError("cf_base must lie in (0, 1]")
+            raise FieldError("cf_base must lie in (0, 1]", "cf_base")
         if not 0.0 < self.eta < 1.0:
-            raise ValueError("efficiency must lie in (0, 1)")
+            raise FieldError("efficiency must lie in (0, 1)", "eta")
         if not 0.0 < self.t_ptc <= self.lt:
-            raise ValueError("PTC duration t_ptc must be positive and cannot exceed the lifetime")
+            raise FieldError(
+                "PTC duration t_ptc must be positive and cannot exceed the lifetime", "t_ptc", "lt"
+            )
         # Feed must sit above any admissible tails assay and below any
         # admissible product assay or the cascade ratios lose meaning.
         if not DESIGN_BOUNDS["x_t"][1] < self.x_f < DESIGN_BOUNDS["x_p"][0]:
-            raise ValueError(
-                f"feed assay x_f must lie in ({DESIGN_BOUNDS['x_t'][1]}, {DESIGN_BOUNDS['x_p'][0]}) wt%"
+            raise FieldError(
+                f"feed assay x_f must lie in ({DESIGN_BOUNDS['x_t'][1]}, {DESIGN_BOUNDS['x_p'][0]}) wt%",
+                "x_f",
             )
         if not 0.0 <= self.loss < 1.0:
-            raise ValueError("conversion loss must lie in [0, 1)")
+            raise FieldError("conversion loss must lie in [0, 1)", "loss")
         if not 0.0 <= self.t_down < np.inf:
-            raise ValueError("downtime must be finite and >= 0")
+            raise FieldError("downtime must be finite and >= 0", "t_down")
         if self.inflation_mode not in INFLATION_MODES:
-            raise ValueError(f"inflation_mode must be one of {INFLATION_MODES}")
+            raise FieldError(f"inflation_mode must be one of {INFLATION_MODES}", "inflation_mode")
         # A finite rate can still compound past the float range, which makes
         # the annuity factors NaN. The largest product they form, the CRF's
         # rate * (1+rate)^n, stays below (1+rate)^(n+1); n runs up to the
         # lifetime and to the longest refueling interval.
         horizon = max(self.lt, DESIGN_BOUNDS["t_refuel"][1])
-        rates = {"discount rate r": self.r}
+        rates = {"discount rate r": (self.r, ("r",))}
         if self.inflation_mode == "escalated":
-            rates["nominal rate (1+r)(1+infl)-1"] = self.nominal_rate
-        for name, rate in rates.items():
+            rates["nominal rate (1+r)(1+infl)-1"] = (self.nominal_rate, ("r", "infl"))
+        for name, (rate, involved) in rates.items():
             if not (horizon + 1.0) * np.log1p(rate) < _LOG_FLOAT_MAX:
-                raise ValueError(f"{name} = {rate:g} overflows when compounded over {horizon:g} years")
+                raise FieldError(
+                    f"{name} = {rate:g} overflows when compounded over {horizon:g} years", *involved
+                )
 
     @property
     def nominal_rate(self) -> float:

@@ -41,6 +41,7 @@ from .fuelcycle import burnup_residual  # noqa: F401
 
 DEFAULT_PENALTY_WEIGHT = 0.05  # $/MWh per (MWd/kgU)^2
 STALL_IMPROVEMENT = 1e-6  # objective gain that resets the stall counter
+_BOX_BLOCK_ROWS = 2048  # rows per block of a design matrix's box check
 
 __all__ = [
     "DEFAULT_PENALTY_WEIGHT",
@@ -123,6 +124,7 @@ class MinimizeResult:
     evaluations: int
     history: list = field(default_factory=list)  # best-so-far per generation/step
     restart_bests: list = field(default_factory=list)
+    generations: list = field(default_factory=list)  # per run: GA generations or SA steps
 
 
 @dataclass(frozen=True)
@@ -130,12 +132,21 @@ class OptimizationResult:
     """Best design of a levelized-cost search with its full cost context."""
 
     best_design: ReactorDesign
-    lcoe: float  # $/MWh, equals breakdown.total
     breakdown: LcoeBreakdown
-    burnup_residual: float  # MWd/kgU at the best design
     penalty_value: float  # $/MWh-equivalent added by the residual penalty
     evaluations: int
     restart_bests: tuple
+    generations: tuple  # per restart, in seed order: GA generations or SA steps run
+
+    @property
+    def lcoe(self) -> float:
+        """$/MWh at the best design."""
+        return float(self.breakdown.total)
+
+    @property
+    def burnup_residual(self) -> float:
+        """MWd/kgU at the best design."""
+        return self.breakdown.burnup_residual
 
     @property
     def objective(self) -> float:
@@ -182,7 +193,18 @@ def make_design_objective(
         raise ValueError("penalty_weight must be finite and >= 0")
     low, high = bounds_arrays()
     (l0, l1, l2, l3, l4), (h0, h1, h2, h3, h4) = low.tolist(), high.tolist()
+    # The bounds of a block of rows, flat, so a matrix is checked block by
+    # block in one long pass instead of a broadcast with an inner loop of 5.
+    block_low, block_high = np.tile(low, _BOX_BLOCK_ROWS), np.tile(high, _BOX_BLOCK_ROWS)
     terms = compile_lcoe(costs, fin)
+
+    def inside(x: np.ndarray) -> bool:
+        flat = x.reshape(-1)
+        for i in range(0, flat.size, block_low.size):
+            part = flat[i : i + block_low.size]
+            if not ((part >= block_low[: part.size]) & (part <= block_high[: part.size])).all():
+                return False
+        return True
 
     def objective(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -195,7 +217,7 @@ def make_design_objective(
                 values = terms(p, xp, xt, tr, db)
                 total, residual = values[6], values[8]
                 return np.array((total + penalty_weight * residual * residual,))
-        elif ((x >= low) & (x <= high)).all():
+        elif inside(x):
             values = terms(*x.T)
             total, residual = values[6], values[8]
             return total + penalty_weight * residual * residual
@@ -221,6 +243,35 @@ def _selection_weights(values: np.ndarray) -> np.ndarray:
     return (top - values) + eps
 
 
+def _roulette(values: np.ndarray, uniforms: np.ndarray, cumulative: np.ndarray) -> np.ndarray:
+    """Roulette picks for every run at once, (runs, draws) indices into each
+    run's population.
+
+    Row k of ``values`` is run k's population and row k of ``uniforms`` its
+    draws in [0, 1). ``cumulative`` is a (>= runs, width) buffer whose columns
+    from ``pop`` on hold +inf, with ``width`` a power of two above ``pop``.
+    Each pick equals ``np.searchsorted(cum, u * cum[-1], side="right")`` on the
+    run's cumulative weights ``cum``, clamped to ``pop - 1``: the bisection
+    counts the row's entries not above the draw in ``log2(width)`` steps of
+    one gather and one comparison each, with no branch per element. Written
+    as ``~(entry > draw)``, a NaN draw (0 * an infinite total) counts every
+    entry, as numpy sorts NaN last.
+    """
+    n, pop = values.shape
+    width = cumulative.shape[1]
+    np.cumsum(_selection_weights(values), axis=1, out=cumulative[:n, :pop])
+    draws = uniforms * cumulative[:n, pop - 1 : pop]
+    base = np.arange(0, n * width, width)[:, None]
+    flat = cumulative.reshape(-1)
+    pos = np.repeat(base, draws.shape[1], axis=1)
+    step = width >> 1
+    while step:
+        pos += ~(flat[step - 1:][pos] > draws) * step
+        step >>= 1
+    pos -= base
+    return np.minimum(pos, pop - 1, out=pos)
+
+
 def ga_minimize(
     objective: Callable[[np.ndarray], np.ndarray],
     bounds: tuple[np.ndarray, np.ndarray],
@@ -238,8 +289,8 @@ def ga_minimize(
     Every run draws from its own ``make_rng(seed)`` generator in a fixed
     order and stops drawing once it stops, so its result is bit-identical to
     running it alone. Returns the best run (ties to the lowest index) with
-    its history, every run's best in seed order, and the evaluations of all
-    runs.
+    its history, every run's best and generation count in seed order, and
+    the evaluations of all runs.
     """
     if not isinstance(seeds, list) or not seeds:
         raise TypeError("seeds must be a non-empty list with one seed per run")
@@ -253,10 +304,12 @@ def ga_minimize(
     n_genes = n_children * ndim
     noise_scale = config.mutation_scale * span
 
-    # Per-generation draw buffers, one row per run, reused by every generation.
+    # Per-generation buffers, one row per run, reused by every generation.
+    # Each selection row holds the run's cumulative weights, padded with +inf
+    # to a power of two for the branchless bisection in _roulette.
     uniforms = np.empty((runs, 2 * n_children + 3 * n_genes))
     normals = np.empty((runs, n_children, ndim))
-    parent_idx = np.empty((runs, 2 * n_children), dtype=np.intp)
+    cumulative = np.full((runs, 1 << pop.bit_length()), np.inf)
 
     start = np.empty((runs, pop, ndim))
     for rng, row in zip(rngs, start):
@@ -276,17 +329,16 @@ def ga_minimize(
 
     for gen in range(1, config.generations + 1):
         n_active = active.size
-        here = rows[:n_active, None]
-        cumulative = np.cumsum(_selection_weights(values), axis=1)
         for k, run in enumerate(active):
             rng = rngs[run]
             rng.random(out=uniforms[k])
             rng.standard_normal(out=normals[k])
-            draws = uniforms[k, : 2 * n_children] * cumulative[k, -1]
-            parent_idx[k] = np.searchsorted(cumulative[k], draws, side="right")
-        parents = np.minimum(parent_idx[:n_active], pop - 1)
-        mothers = x[here, parents[:, :n_children]]
-        fathers = x[here, parents[:, n_children:]]
+        # Row offsets into the runs' stacked (n_active * pop, ndim) population.
+        offsets = rows[:n_active, None] * pop
+        flat_x = x.reshape(-1, ndim)
+        picks = _roulette(values, uniforms[:n_active, : 2 * n_children], cumulative)
+        parents = np.take(flat_x, picks + offsets, axis=0)
+        mothers, fathers = parents[:, :n_children], parents[:, n_children:]
 
         genes = uniforms[:n_active, 2 * n_children:].reshape(n_active, 3, n_children, ndim)
         cross = genes[:, 0] < config.crossover_rate
@@ -300,7 +352,7 @@ def ga_minimize(
         np.minimum(children, high, out=children)
 
         elite_idx = np.argsort(values, axis=1, kind="stable")[:, : config.elite_count]
-        x = np.concatenate([x[here, elite_idx], children], axis=1)
+        x = np.concatenate([np.take(flat_x, elite_idx + offsets, axis=0), children], axis=1)
         values = _evaluate(objective, x)
 
         gen_best = np.argmin(values, axis=1)
@@ -326,6 +378,7 @@ def ga_minimize(
         evaluations=int(pop * (generations + 1).sum()),
         history=history[winner, : generations[winner] + 1].tolist(),
         restart_bests=best_fun.tolist(),
+        generations=generations.tolist(),
     )
 
 
@@ -397,7 +450,7 @@ def sa_minimize(
 
     return MinimizeResult(
         x=best_x, fun=best_fun, evaluations=evaluations,
-        history=history, restart_bests=[best_fun],
+        history=history, restart_bests=[best_fun], generations=[config.steps],
     )
 
 
@@ -417,7 +470,8 @@ def optimize_design(
     comes from the matching config. Restart ``i`` of either solver draws from
     ``seed_path(seed, STREAM_RESTART, i)``, and the best restart wins, ties
     to the lowest index. Returns the winning design with its cost breakdown,
-    residual, and the best value of every restart.
+    residual, and the best value and generations (SA: steps) of every
+    restart.
     """
     if method not in ("ga", "sa"):
         raise ValueError("method must be 'ga' or 'sa'")
@@ -433,6 +487,7 @@ def optimize_design(
         raw = MinimizeResult(
             x=best.x, fun=best.fun, evaluations=sum(run.evaluations for run in runs),
             history=best.history, restart_bests=[run.fun for run in runs],
+            generations=[n for run in runs for n in run.generations],
         )
 
     design = ReactorDesign.from_array(raw.x)
@@ -440,10 +495,9 @@ def optimize_design(
     residual = breakdown.burnup_residual
     return OptimizationResult(
         best_design=design,
-        lcoe=float(breakdown.total),
         breakdown=breakdown,
-        burnup_residual=residual,
         penalty_value=penalty_weight * residual * residual,
         evaluations=raw.evaluations,
         restart_bests=tuple(raw.restart_bests),
+        generations=tuple(raw.generations),
     )

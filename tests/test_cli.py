@@ -14,6 +14,7 @@ import pytest
 
 from microlcoe.cli import main, parse_design
 from microlcoe.config import (
+    _FINANCIAL_KEYS,
     ConfigError,
     StudyConfig,
     config_hash,
@@ -246,6 +247,28 @@ class TestStrictParsing:
             parse_config({"financial": {"downtime_model": "yes"}})
         with pytest.raises(ConfigError):
             parse_config({"output_dir": 3})
+
+    @pytest.mark.parametrize("key", list(_FINANCIAL_KEYS))
+    def test_financial_rejection_names_the_config_key(self, key):
+        # One rejected value per key, and the keys each rejection names.
+        bad, named = {
+            "discount_rate": (-0.01, ["discount_rate"]),
+            "inflation_rate": (-0.01, ["inflation_rate"]),
+            "lifetime_years": (5.0, ["ptc_years", "lifetime_years"]),
+            "capacity_factor": (1.5, ["capacity_factor"]),
+            "efficiency": (1.5, ["efficiency"]),
+            "ptc_rate": (-1.0, ["ptc_rate"]),
+            "ptc_years": (25.0, ["ptc_years", "lifetime_years"]),
+            "feed_assay": (0.3, ["feed_assay"]),
+            "conversion_loss": (1.0, ["conversion_loss"]),
+            "downtime_years": (-0.1, ["downtime_years"]),
+            "downtime_model": ("yes", ["downtime_model"]),
+            "inflation_mode": ("nominal", ["inflation_mode"]),
+        }[key]
+        with pytest.raises(ConfigError) as info:
+            parse_config({"financial": {key: bad}})
+        prefix = " / ".join(f"financial.{k}" for k in named)
+        assert str(info.value).startswith((f"{prefix}: ", f"{prefix} must be "))
 
     def test_invalid_values_reported_with_section(self):
         with pytest.raises(ConfigError, match="financial"):
@@ -532,14 +555,16 @@ class TestCliCommands:
         assert (occ.name, occ.min, occ.max, occ.nominal) == ("occ", 1000.0, 4000.0, 1500.0)
 
     @pytest.mark.parametrize(
-        "financial",
-        [{"discount_rate": 1e308}, {"inflation_rate": 1e308, "inflation_mode": "escalated"}],
+        "financial,named",
+        [({"discount_rate": 1e308}, "financial.discount_rate: "),
+         ({"inflation_rate": 1e308, "inflation_mode": "escalated"},
+          "financial.discount_rate / financial.inflation_rate: ")],
     )
-    def test_rate_that_overflows_compounding_exits_2(self, tmp_path, capsys, financial):
+    def test_rate_that_overflows_compounding_exits_2(self, tmp_path, capsys, financial, named):
         path = write_config(tmp_path, {"financial": financial})
         code = main(["optimize", "--config", path, "--out", str(tmp_path / "o")])
         assert code == 2
-        assert "config error: financial: " in capsys.readouterr().err
+        assert f"config error: {named}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [["optimize"], ["lcoe", "--design", DESIGN]],
                              ids=["optimize", "lcoe"])

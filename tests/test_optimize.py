@@ -2,7 +2,7 @@
 contracts, bounds containment, and the penalized objective arithmetic."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -291,6 +291,63 @@ class TestLockstepGa:
         with pytest.raises(TypeError):
             ga_minimize(sphere, BOUNDS, QUICK_GA, seeds)
 
+    def test_generations_recorded_per_run_in_seed_order(self):
+        seeds = restart_seeds(3, STALL_GA.restarts)
+        result = ga_minimize(DESIGN_OBJECTIVE, BOUNDS, STALL_GA, seeds)
+        serial = [len(serial_ga(DESIGN_OBJECTIVE, BOUNDS, STALL_GA, s)[3]) - 1 for s in seeds]
+        assert result.generations == serial
+        assert len(set(serial)) > 1 and max(serial) < STALL_GA.generations
+        assert result.evaluations == STALL_GA.population * sum(g + 1 for g in serial)
+
+
+def reference_roulette(values, uniforms):
+    """Reference for _roulette: per run, np.searchsorted(side="right") of the
+    draws on the run's cumulative selection weights, clamped to the population."""
+    weights = microlcoe.optimize._selection_weights(values)
+    picks = []
+    for row, u in zip(weights, uniforms):
+        cumulative = np.cumsum(row)
+        picks.append(np.searchsorted(cumulative, u * cumulative[-1], side="right"))
+    return np.minimum(np.array(picks), values.shape[1] - 1)
+
+
+class TestRoulette:
+    """The branchless selection of all runs equals a per-run searchsorted."""
+
+    @pytest.mark.parametrize("pop", [4, 100, 128])
+    def test_equals_per_run_searchsorted(self, pop):
+        rng = np.random.default_rng(pop)
+        roulette = microlcoe.optimize._roulette
+        buffer = np.full((20, 1 << pop.bit_length()), np.inf)  # as ga_minimize holds it
+        edges = [0.0, np.nextafter(1.0, 0.0)]
+        for n in range(1, 21):
+            kinds = {
+                "random": rng.normal(70.0, 5.0, (n, pop)),
+                "tied": rng.integers(0, 3, (n, pop)).astype(float),
+                "all-equal": np.full((n, pop), 71.5),
+                # the weights' sum overflows: an infinite total, and a NaN
+                # key (0 * inf) wherever the draw is 0.0
+                "infinite-total": rng.choice([-8e307, 8e307], (n, pop)),
+            }
+            for kind, values in kinds.items():
+                uniforms = rng.random((n, 2 * pop + 3))
+                uniforms[:, :2] = edges
+                uniforms[rng.random((n, 2 * pop + 3)) < 0.05] = 0.0
+                with np.errstate(over="ignore", invalid="ignore"):  # the infinite total
+                    picks = roulette(values, uniforms, buffer)
+                    expected = reference_roulette(values, uniforms)
+                assert picks.shape == uniforms.shape
+                assert np.array_equal(picks, expected), (n, kind)
+
+    def test_nan_key_picks_the_last_individual(self):
+        values = np.array([[-8e307, 8e307, 8e307, -8e307]])
+        uniforms = np.array([[0.0, 0.5, np.nextafter(1.0, 0.0)]])
+        with np.errstate(invalid="ignore", over="ignore"):
+            draws = uniforms * np.cumsum(microlcoe.optimize._selection_weights(values))[-1]
+            picks = microlcoe.optimize._roulette(values, uniforms, np.full((1, 8), np.inf))
+        assert np.isnan(draws[0, 0])
+        assert picks.tolist() == [[3, 3, 3]]
+
 
 def serial_sa(objective, bounds, config, rng):
     """Reference: the annealing chain as a plain loop, one np.clip proposal
@@ -528,6 +585,23 @@ class TestOptimizeDesign:
         with pytest.raises(ValueError):
             optimize_design(DEFAULT_COSTS, DEFAULT_FINANCE, method="gradient")
 
+    def test_stock_search_runs_every_generation_of_every_restart(self):
+        result = optimize_design(DEFAULT_COSTS, DEFAULT_FINANCE, seed=5)
+        stock = GaConfig()
+        assert result.generations == (stock.generations,) * stock.restarts
+        assert result.evaluations == stock.population * (stock.generations + 1) * stock.restarts
+
+    def test_sa_restarts_record_their_steps(self):
+        result = optimize_design(DEFAULT_COSTS, DEFAULT_FINANCE, method="sa",
+                                 sa_config=QUICK_SA, seed=1)
+        assert result.generations == (QUICK_SA.steps,) * QUICK_SA.restarts
+
+    def test_lcoe_and_residual_are_read_from_the_breakdown(self):
+        result = optimize_design(DEFAULT_COSTS, DEFAULT_FINANCE, ga_config=QUICK_GA, seed=6)
+        assert {"lcoe", "burnup_residual"}.isdisjoint(f.name for f in fields(result))
+        assert result.lcoe == float(result.breakdown.total)
+        assert result.burnup_residual == result.breakdown.burnup_residual
+
 
 class TestDesignObjective:
     def test_matches_scalar_path(self):
@@ -563,6 +637,21 @@ class TestDesignObjective:
             matrix = objective(np.vstack([CENTER, row, CENTER]))
             assert np.all(np.isfinite(matrix))
             assert objective(row[None, :])[0] == matrix[1]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e9])
+    def test_box_check_covers_every_block_of_a_large_matrix(self, value):
+        objective = make_design_objective(DEFAULT_COSTS, DEFAULT_FINANCE)
+        block = microlcoe.optimize._BOX_BLOCK_ROWS
+        x = np.tile(CENTER, (2 * block + 7, 1))
+        expected = objective(x)
+        for row in (0, block - 1, block, 2 * block + 6):
+            for column in (0, 4):
+                bad = x.copy()
+                bad[row, column] = value
+                for matrix in (bad, np.asfortranarray(bad)):
+                    with pytest.raises(ValueError, match="leaves the search box"):
+                        objective(matrix)
+        assert np.array_equal(objective(np.asfortranarray(x)), expected)
 
     def test_rejects_wrong_shape(self):
         objective = make_design_objective(DEFAULT_COSTS, DEFAULT_FINANCE)
