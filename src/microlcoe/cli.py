@@ -329,7 +329,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except StudyError as exc:
+    except (StudyError, MemoryError) as exc:  # MemoryError: a search too large to allocate
         print(f"optimization error: {exc}", file=sys.stderr)
         return 3
     except (EvaluationError, ValueError) as exc:

@@ -19,13 +19,14 @@ from .costs import (
     CostInputs,
     DEFAULT_COSTS,
     DESIGN_BOUNDS,
+    FieldError,
     FinancialParams,
     LB_U3O8_PER_KG_U,
     effective_capacity_factor,
 )
 from .fuelcycle import burnup_residual
 from .optimize import DEFAULT_PENALTY_WEIGHT, GaConfig, SaConfig
-from .uncertainty import MAX_GRID_POINTS, STOCK_UNCERTAINTY, stock_parameter
+from .uncertainty import STOCK_UNCERTAINTY, stock_parameter
 
 __all__ = ["ConfigError", "StudyConfig", "load_config", "resolved_dict", "config_hash"]
 
@@ -168,60 +169,68 @@ def _read(value, like, path: str):
     return value
 
 
-def _read_keys(section: dict, keys: dict, like, path: str) -> dict:
+def _read_keys(section: dict, keys: dict, like, paths: dict) -> dict:
     """The fields that ``section`` sets, read against their values in ``like``."""
     return {
-        attr: _read(section[key], getattr(like, attr), f"{path}.{key}" if path else key)
+        attr: _read(section[key], getattr(like, attr), paths[attr])
         for key, attr in keys.items()
         if key in section
     }
 
 
-def _parse_section(section, name: str, keys: dict, default):
-    """A rejection names the section, or the dotted keys of the fields that a
-    :class:`FieldError` names."""
-    _reject_unknown(_require_mapping(section, name), keys, name)
-    values = _read_keys(section, keys, default, name)
+def _build(make, paths: dict):
+    """``make()``; a :class:`FieldError` becomes a ConfigError naming its fields' ``paths``."""
     try:
-        return replace(default, **values)
-    except ValueError as exc:
-        key_of = {attr: key for key, attr in keys.items()}
-        at = [f"{name}.{key_of[attr]}" for attr in getattr(exc, "fields", ())]
-        raise ConfigError(f"{' / '.join(at) or name}: {exc}") from exc
+        return make()
+    except FieldError as exc:
+        keys = dict.fromkeys(paths[field] for field in exc.fields)
+        raise ConfigError(f"{' / '.join(keys)}: {exc}") from exc
 
 
-def _parse_costs(section) -> CostInputs:
+def _parse_section(section, name: str, keys: dict, default, paths=None):
+    _reject_unknown(_require_mapping(section, name), keys, name)
+    paths = paths or {attr: f"{name}.{key}" for key, attr in keys.items()}
+    values = _read_keys(section, keys, default, paths)
+    return _build(lambda: replace(default, **values), paths)
+
+
+_COST_PATHS = {attr: f"costs.{key}" for key, attr in _COST_KEYS.items()}
+
+
+def _parse_costs(section) -> tuple:
+    """The costs, and each field's dotted key (``costs.c_yc_per_lb`` for a price per pound)."""
     section = dict(_require_mapping(section, "costs"))
+    paths = _COST_PATHS
     if "c_yc_per_lb" in section:
         if "c_yc" in section:
             raise ConfigError("costs: give uranium as c_yc ($/kgU) or c_yc_per_lb, not both")
+        paths = {**paths, "c_yc": "costs.c_yc_per_lb"}
         per_lb = _number(section.pop("c_yc_per_lb"), "costs.c_yc_per_lb")
         section["c_yc"] = per_lb * LB_U3O8_PER_KG_U
-    return _parse_section(section, "costs", _COST_KEYS, DEFAULT_COSTS)
+    return _parse_section(section, "costs", _COST_KEYS, DEFAULT_COSTS, paths), paths
 
 
-def _parse_uncertainty(section, costs: CostInputs) -> tuple:
+def _parse_uncertainty(section, costs: CostInputs, cost_paths: dict = _COST_PATHS) -> tuple:
     """Each uncertain parameter built once by :func:`stock_parameter`, from the
-    keys its ``uncertainty`` spec gives. An error names the spec if the file
-    gives one, else the cost."""
+    keys its ``uncertainty`` spec gives. A rejection names the spec's keys, but
+    the cost's for a nominal taken from ``costs`` and for every rule if no spec."""
     _reject_unknown(_require_mapping(section, "uncertainty"), STOCK_UNCERTAINTY, "uncertainty")
     params = []
     for name in STOCK_UNCERTAINTY:
-        path = f"uncertainty.{name}" if name in section else f"costs.{name}"
+        path = f"uncertainty.{name}"
         spec = _require_mapping(section.get(name, {}), path)
         _reject_unknown(spec, _UNCERTAIN_LIKE, path)
+        paths = {key: f"{path}.{key}" if name in section else cost_paths[name]
+                 for key in _UNCERTAIN_LIKE}
+        if "nominal" not in spec:
+            paths["nominal"] = cost_paths[name]
         overrides = {
             # resolved_dict writes a uniform pdf's mode as null
             key: None if key == "mode" and value is None
-            else _read(value, _UNCERTAIN_LIKE[key], f"{path}.{key}")
+            else _read(value, _UNCERTAIN_LIKE[key], paths[key])
             for key, value in spec.items()
         }
-        if "grid_points" in overrides and not 2 <= overrides["grid_points"] <= MAX_GRID_POINTS:
-            raise ConfigError(f"{path}.grid_points must lie in [2, {MAX_GRID_POINTS}]")
-        try:
-            params.append(stock_parameter(name, costs, **overrides))
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+        params.append(_build(lambda: stock_parameter(name, costs, **overrides), paths))
     return tuple(params)
 
 
@@ -249,8 +258,8 @@ def parse_config(data: dict) -> StudyConfig:
     data = _require_mapping(data, "config")
     _reject_unknown(data, _TOP_KEYS, "")
     fin = _parse_section(data.get("financial", {}), "financial", _FINANCIAL_KEYS, FinancialParams())
-    costs = _parse_costs(data.get("costs", {}))
-    uncertain = _parse_uncertainty(data.get("uncertainty", {}), costs)
+    costs, cost_paths = _parse_costs(data.get("costs", {}))
+    uncertain = _parse_uncertainty(data.get("uncertainty", {}), costs, cost_paths)
     ga = _parse_section(data.get("ga", {}), "ga", _GA_KEYS, GaConfig())
     sa = _parse_section(data.get("sa", {}), "sa", _SA_KEYS, SaConfig())
     benchmarks = (
@@ -260,7 +269,7 @@ def parse_config(data: dict) -> StudyConfig:
     )
     return StudyConfig(
         costs=costs, fin=fin, uncertain=uncertain, ga=ga, sa=sa, benchmarks=benchmarks,
-        **_read_keys(data, _SCALAR_KEYS, StudyConfig, ""),
+        **_read_keys(data, _SCALAR_KEYS, StudyConfig, _SCALAR_KEYS),  # a key is its own path
     )
 
 

@@ -94,6 +94,14 @@ class ReactorDesign:
         return cls(*(float(v) for v in np.asarray(x, dtype=float)))
 
 
+class FieldError(ValueError):
+    """A rejected parameter value; ``fields`` names the fields of the rule it breaks."""
+
+    def __init__(self, message: str, *fields: str):
+        super().__init__(message)
+        self.fields = fields
+
+
 @dataclass(frozen=True)
 class CostInputs:
     """One realization of the unit costs. Values in the units noted."""
@@ -114,15 +122,7 @@ class CostInputs:
         for name in self.__dataclass_fields__:
             value = getattr(self, name)
             if not np.all(np.isfinite(value)) or np.any(value < 0.0):
-                raise ValueError(f"cost input {name} must be finite and >= 0")
-
-
-class FieldError(ValueError):
-    """A rejected parameter value; ``fields`` names the fields of the rule it breaks."""
-
-    def __init__(self, message: str, *fields: str):
-        super().__init__(message)
-        self.fields = fields
+                raise FieldError(f"cost input {name} must be finite and >= 0", name)
 
 
 @dataclass(frozen=True)
@@ -261,19 +261,6 @@ def _crf_raw(r: float, n):
     return r * (net_growth + 1.0) / net_growth
 
 
-def _sff_raw(r: float, n):
-    if r == 0.0:
-        return 1.0 / n
-    return r / np.expm1(n * np.log1p(r))
-
-
-def _pva_raw(r: float, n):
-    if r == 0.0:
-        return n * 1.0
-    net_growth = np.expm1(n * np.log1p(r))
-    return net_growth / (r * (net_growth + 1.0))
-
-
 def capital_recovery_factor(r: float, n):
     """Annuity payment per unit present value, 1/yr; 1/n in the r -> 0 limit."""
     _check_horizon(r, n)
@@ -283,13 +270,18 @@ def capital_recovery_factor(r: float, n):
 def sinking_fund_factor(r: float, n):
     """Annual deposit accumulating to one unit at year n; equals CRF - r."""
     _check_horizon(r, n)
-    return _sff_raw(r, n)
+    if r == 0.0:
+        return 1.0 / n
+    return r / np.expm1(n * np.log1p(r))
 
 
 def present_value_annuity_factor(r: float, n):
     """Present value of a unit annuity over n years; n in the r -> 0 limit."""
     _check_horizon(r, n)
-    return _pva_raw(r, n)
+    if r == 0.0:
+        return n * 1.0
+    net_growth = np.expm1(n * np.log1p(r))
+    return net_growth / (r * (net_growth + 1.0))
 
 
 def _cf_raw(fin: FinancialParams, t_refuel):
@@ -351,8 +343,8 @@ def compile_lcoe(costs: CostInputs, fin: FinancialParams) -> Callable[..., tuple
     credit = ptc_credit_per_mwh(fin)
     scale = _escalation_factor(fin)
     r, eta, x_f, loss = fin.r, fin.eta, fin.x_f, fin.loss
-    crf_life = _crf_raw(r, fin.lt)
-    sff_life = _sff_raw(r, fin.lt)
+    crf_life = capital_recovery_factor(r, fin.lt)
+    sff_life = sinking_fund_factor(r, fin.lt)
     fixed_om = costs.n_fte * costs.s_fte + costs.fom
     spent = scale * costs.c_spent
     value_feed = fuelcycle._value_raw(x_f / 100.0)

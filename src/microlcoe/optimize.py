@@ -26,6 +26,7 @@ import numpy as np
 from .costs import (
     CostInputs,
     DESIGN_FIELDS,
+    FieldError,
     FinancialParams,
     LcoeBreakdown,
     ReactorDesign,
@@ -72,25 +73,23 @@ class GaConfig:
     generations: int = 150
     crossover_rate: float = 0.8
     mutation_rate: float = 0.1
-    mutation_scale: float = 0.1  # fraction of each bound range
+    # a fraction of each bound range, at most 1: a wider one only piles children on the box faces
+    mutation_scale: float = 0.1
     elite_count: int = 10
     stall_generations: int = 50
     restarts: int = 20
 
     def __post_init__(self):
-        if self.population < 4:
-            raise ValueError("population must be >= 4")
-        for name in ("crossover_rate", "mutation_rate"):
+        counts = {"population": 4, "generations": 0, "stall_generations": 1, "restarts": 1}
+        for name, least in counts.items():
+            if getattr(self, name) < least:
+                raise FieldError(f"{name} must be >= {least}", name)
+        # `not (ok)` rejects NaN too, which fails every comparison
+        for name in ("crossover_rate", "mutation_rate", "mutation_scale"):
             if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
-        if not self.mutation_scale >= 0.0:
-            raise ValueError("mutation_scale must be >= 0")
+                raise FieldError(f"{name} must lie in [0, 1]", name)
         if not 0 <= self.elite_count < self.population:
-            raise ValueError("elite_count must be smaller than the population")
-        if self.generations < 0 or self.stall_generations < 1:
-            raise ValueError("generations must be >= 0 and stall_generations >= 1")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+            raise FieldError("elite_count must lie in [0, population)", "elite_count", "population")
 
 
 @dataclass(frozen=True)
@@ -103,16 +102,14 @@ class SaConfig:
     restarts: int = 5
 
     def __post_init__(self):
-        if not self.initial_temp > 0.0:
-            raise ValueError("initial_temp must be positive")
+        for name, least in {"steps": 0, "moves_per_step": 1, "restarts": 1}.items():
+            if getattr(self, name) < least:
+                raise FieldError(f"{name} must be >= {least}", name)
+        for name in ("initial_temp", "step_scale"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise FieldError(f"{name} must be finite and positive", name)
         if not 0.0 < self.cooling_rate < 1.0:
-            raise ValueError("cooling_rate must lie in (0, 1)")
-        if self.steps < 0 or self.moves_per_step < 1:
-            raise ValueError("steps must be >= 0 and moves_per_step >= 1")
-        if not self.step_scale > 0.0:
-            raise ValueError("step_scale must be positive")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+            raise FieldError("cooling_rate must lie in (0, 1)", "cooling_rate")
 
 
 @dataclass

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .costs import CostInputs, DEFAULT_COSTS
+from .costs import CostInputs, DEFAULT_COSTS, FieldError
 from .rng import STREAM_SCENARIO, SeedLike, make_rng
 
 PDF_KINDS = ("uniform", "triangular")
@@ -84,18 +84,19 @@ class UncertainParameter:
 
     def __post_init__(self):
         if self.pdf not in PDF_KINDS:
-            raise ValueError(f"pdf kind must be one of {PDF_KINDS}")
+            raise FieldError(f"pdf kind must be one of {PDF_KINDS}", "pdf")
         if not (np.isfinite(self.min) and np.isfinite(self.max)) or self.min >= self.max:
-            raise ValueError("pdf requires min < max")
+            raise FieldError("pdf requires min < max", "min", "max")
         if self.pdf == "triangular":
             if self.mode is None or not self.min <= self.mode <= self.max:
-                raise ValueError("triangular pdf requires min <= mode <= max")
+                raise FieldError("triangular pdf requires min <= mode <= max", "mode", "min", "max")
         elif self.mode is not None:
-            raise ValueError("uniform pdf takes no mode")
+            raise FieldError("uniform pdf takes no mode", "mode")
         if not self.min <= self.nominal <= self.max:
-            raise ValueError(f"nominal of {self.name} must lie within [min, max]")
+            raise FieldError(f"nominal of {self.name} must lie within [min, max]",
+                             "nominal", "min", "max")
         if not 2 <= self.grid_points <= MAX_GRID_POINTS:
-            raise ValueError(f"grid_points must lie in [2, {MAX_GRID_POINTS}]")
+            raise FieldError(f"grid_points must lie in [2, {MAX_GRID_POINTS}]", "grid_points")
 
 
 @dataclass(frozen=True)
@@ -212,8 +213,8 @@ def stock_parameter(name: str, base: CostInputs = DEFAULT_COSTS, **overrides) ->
 
     The keywords are the config keys ``pdf``, ``min``, ``max``, ``mode``,
     ``nominal`` and ``grid_points``. The nominal defaults to ``base.<name>``,
-    a triangular mode to the nominal. An invalid result raises ``ValueError``,
-    an unknown keyword ``TypeError``.
+    a triangular mode to the nominal. An invalid result raises
+    :class:`~microlcoe.costs.FieldError`, an unknown keyword ``TypeError``.
     """
     kind, low, high = STOCK_UNCERTAINTY[name]
     nominal = overrides.get("nominal", float(getattr(base, name)))

@@ -90,6 +90,35 @@ def every_key_changed():
     }
 
 
+# One rejected value per rule of CostInputs, GaConfig, SaConfig and
+# UncertainParameter: (section, key, value, the keys its rejection names).
+RULE_REJECTIONS = [
+    *[("costs", name, -1.0, [name]) for name in DEFAULT_COSTS.__dataclass_fields__],
+    ("costs", "c_yc_per_lb", -1.0, ["c_yc_per_lb"]),
+    ("ga", "population", 3, ["population"]),
+    ("ga", "crossover_rate", 1.5, ["crossover_rate"]),
+    ("ga", "mutation_rate", -0.1, ["mutation_rate"]),
+    ("ga", "mutation_scale", 1e308, ["mutation_scale"]),
+    ("ga", "elite_count", -1, ["elite_count", "population"]),
+    ("ga", "generations", -1, ["generations"]),
+    ("ga", "stall_generations", 0, ["stall_generations"]),
+    ("ga", "restarts", 0, ["restarts"]),
+    ("sa", "initial_temp", 0.0, ["initial_temp"]),
+    ("sa", "cooling_rate", 1.0, ["cooling_rate"]),
+    ("sa", "steps", -1, ["steps"]),
+    ("sa", "moves_per_step", 0, ["moves_per_step"]),
+    ("sa", "step_scale", 0.0, ["step_scale"]),
+    ("sa", "restarts", 0, ["restarts"]),
+    ("uncertainty.occ", "pdf", "normal", ["pdf"]),
+    ("uncertainty.occ", "min", 5000.0, ["min", "max"]),
+    ("uncertainty.occ", "max", 2000.0, ["min", "max"]),
+    ("uncertainty.occ", "mode", 3000.0, ["mode"]),
+    ("uncertainty.c_yc", "mode", 200.0, ["mode", "min", "max"]),
+    ("uncertainty.occ", "nominal", 5000.0, ["nominal", "min", "max"]),
+    ("uncertainty.occ", "grid_points", 1, ["grid_points"]),
+]
+
+
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -434,14 +463,15 @@ class TestUncertaintySpec:
 
     @pytest.mark.parametrize(
         "spec,message",
-        [({"pdf": "normal"}, "pdf kind must be one of"), ({"mode": 3000.0}, "uniform pdf takes no mode")],
+        [({"pdf": "normal"}, "pdf: pdf kind must be one of"),
+         ({"mode": 3000.0}, "mode: uniform pdf takes no mode")],
         ids=["bad-kind", "uniform-mode"],
     )
     def test_bad_pdf_exits_2_naming_the_spec(self, tmp_path, capsys, spec, message):
         path = write_config(tmp_path, {"uncertainty": {"occ": spec}})
         code = main(["lcoe", "--config", path, "--design", DESIGN, "--out", str(tmp_path / "o")])
         assert code == 2
-        assert f"config error: uncertainty.occ: {message}" in capsys.readouterr().err
+        assert f"config error: uncertainty.occ.{message}" in capsys.readouterr().err
 
 
 class TestParseDesign:
@@ -545,6 +575,36 @@ class TestCliCommands:
         code = main(["lcoe", "--config", path, "--design", DESIGN, "--out", str(tmp_path / "o")])
         assert code == 2
         assert f"config error: costs.{name}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section,key,bad,named",
+        [pytest.param(*case, id=f"{case[0]}.{case[1]}") for case in RULE_REJECTIONS],
+    )
+    def test_rejection_names_the_config_key(self, tmp_path, capsys, section, key, bad, named):
+        payload = {key: bad}
+        for part in reversed(section.split(".")):
+            payload = {part: payload}
+        path = write_config(tmp_path, payload)
+        code = main(["lcoe", "--config", path, "--design", DESIGN, "--out", str(tmp_path / "o")])
+        assert code == 2
+        prefix = " / ".join(f"{section}.{k}" for k in named)
+        assert capsys.readouterr().err.startswith(f"config error: {prefix}: ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "payload,named",
+        [({"costs": {"c_yc_per_lb": 10.0}}, "costs.c_yc_per_lb: "),
+         ({"costs": {"c_yc_per_lb": 1e308}}, "costs.c_yc_per_lb must be a finite number"),
+         ({"uncertainty": {"occ": {"min": 3500.0}}},
+          "costs.occ / uncertainty.occ.min / uncertainty.occ.max: ")],
+        ids=["per-lb-below-range", "per-lb-overflows", "nominal-from-costs"],
+    )
+    def test_cost_outside_its_range_names_the_key_it_came_from(self, tmp_path, capsys, payload,
+                                                                named):
+        path = write_config(tmp_path, payload)
+        code = main(["lcoe", "--config", path, "--design", DESIGN, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"config error: {named}")
 
     def test_range_override_repairs_a_repriced_cost(self, tmp_path, capsys):
         payload = {"costs": {"occ": 1500.0}, "uncertainty": {"occ": {"min": 1000.0}}}
@@ -686,6 +746,18 @@ class TestCliCommands:
         if overflow:
             command = [*command, "--config", write_config(tmp_path, {"costs": {"c_dec": 1e306}})]
         assert main([*command, "--out", str(tmp_path / out)]) == expected
+        assert not (tmp_path / "o").exists()
+
+    def test_search_too_large_to_allocate_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a search whose buffers do not fit, such as {"ga": {"generations": 1e12}}
+        message = "Unable to allocate 146. TiB for an array with shape (20, 1000000000001)"
+
+        def unallocatable(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("microlcoe.cli.optimize_design", unallocatable)
+        assert main(["optimize", "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == f"optimization error: {message}\n"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(

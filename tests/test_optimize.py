@@ -13,6 +13,7 @@ from microlcoe.costs import (
     DEFAULT_COSTS,
     DEFAULT_FINANCE,
     HOURS_PER_YEAR,
+    FieldError,
     ReactorDesign,
     bounds_arrays,
     capital_recovery_factor,
@@ -72,11 +73,14 @@ class TestConfigs:
             {"restarts": 0},
             {"stall_generations": 0},
             {"mutation_scale": float("nan")},
+            {"mutation_scale": float("inf")},
+            {"mutation_scale": 1.5},
         ],
     )
     def test_ga_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(FieldError) as info:
             GaConfig(**kwargs)
+        assert next(iter(kwargs)) in info.value.fields
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -88,12 +92,15 @@ class TestConfigs:
             {"step_scale": 0.0},
             {"step_scale": float("nan")},
             {"initial_temp": float("nan")},
+            {"initial_temp": float("inf")},
+            {"step_scale": float("inf")},
             {"restarts": 0},
         ],
     )
     def test_sa_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(FieldError) as info:
             SaConfig(**kwargs)
+        assert info.value.fields == tuple(kwargs)
 
 
 class TestPenalizedObjective:
