@@ -42,7 +42,7 @@ from .fuelcycle import burnup_residual  # noqa: F401
 
 DEFAULT_PENALTY_WEIGHT = 0.05  # $/MWh per (MWd/kgU)^2
 STALL_IMPROVEMENT = 1e-6  # objective gain that resets the stall counter
-_BOX_BLOCK_ROWS = 2048  # rows per block of a design matrix's box check
+_BLOCK_ROWS = 8192  # rows per block of a matrix call: 64 KB temporaries, which stay in L2
 
 __all__ = [
     "DEFAULT_PENALTY_WEIGHT",
@@ -178,30 +178,23 @@ def make_design_objective(
     """Objective over (n, 5) design matrices, suitable for both solvers.
 
     The cost chain is compiled once here (:func:`microlcoe.costs.compile_lcoe`).
-    Each call checks the matrix's shape and design box once, then goes
-    straight to the compiled chain. A one-row call (every SA move) unpacks
-    the row into Python floats, checks them with chained comparisons against
-    the bounds (a NaN or an infinity fails them, as it fails the matrix
-    check) and runs the chain on those floats, which skips numpy's
-    per-operation overhead; the operations and their order are the same, so
-    its value is bit-identical to the same row inside a larger matrix.
+    Each call checks the matrix's shape, then checks and costs it in blocks of
+    ``_BLOCK_ROWS`` rows, so the chain's temporaries stay in cache; a matrix
+    of at most one block takes one pass. A one-row call (every SA move)
+    unpacks the row into Python floats, checks them with chained comparisons
+    against the bounds (a NaN or an infinity fails them, as it fails the
+    matrix check) and runs the chain on those floats, which skips numpy's
+    per-operation overhead. The operations and their order are the same on
+    every path, so a row's value is bit-identical whatever matrix holds it.
     """
     if not 0.0 <= penalty_weight < np.inf:
         raise ValueError("penalty_weight must be finite and >= 0")
     low, high = bounds_arrays()
     (l0, l1, l2, l3, l4), (h0, h1, h2, h3, h4) = low.tolist(), high.tolist()
-    # The bounds of a block of rows, flat, so a matrix is checked block by
-    # block in one long pass instead of a broadcast with an inner loop of 5.
-    block_low, block_high = np.tile(low, _BOX_BLOCK_ROWS), np.tile(high, _BOX_BLOCK_ROWS)
+    # The bounds of a block of rows, flat, so a block is checked in one long
+    # pass instead of a broadcast with an inner loop of 5.
+    block_low, block_high = np.tile(low, _BLOCK_ROWS), np.tile(high, _BLOCK_ROWS)
     terms = compile_lcoe(costs, fin)
-
-    def inside(x: np.ndarray) -> bool:
-        flat = x.reshape(-1)
-        for i in range(0, flat.size, block_low.size):
-            part = flat[i : i + block_low.size]
-            if not ((part >= block_low[: part.size]) & (part <= block_high[: part.size])).all():
-                return False
-        return True
 
     def objective(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -214,11 +207,17 @@ def make_design_objective(
                 values = terms(p, xp, xt, tr, db)
                 total, residual = values[6], values[8]
                 return np.array((total + penalty_weight * residual * residual,))
-        elif inside(x):
-            values = terms(*x.T)
+        # A one-row call outside the box falls through: the block check rejects it too.
+        out = np.empty(len(x))
+        for i in range(0, len(x), _BLOCK_ROWS):
+            block = x[i : i + _BLOCK_ROWS]
+            flat = block.reshape(-1)
+            if not ((flat >= block_low[: flat.size]) & (flat <= block_high[: flat.size])).all():
+                raise ValueError("design matrix leaves the search box")
+            values = terms(*block.T)
             total, residual = values[6], values[8]
-            return total + penalty_weight * residual * residual
-        raise ValueError("design matrix leaves the search box")
+            np.add(total, penalty_weight * residual * residual, out=out[i : i + _BLOCK_ROWS])
+        return out
 
     return objective
 

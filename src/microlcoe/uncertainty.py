@@ -87,16 +87,23 @@ class UncertainParameter:
             raise FieldError(f"pdf kind must be one of {PDF_KINDS}", "pdf")
         if not (np.isfinite(self.min) and np.isfinite(self.max)) or self.min >= self.max:
             raise FieldError("pdf requires min < max", "min", "max")
+        if self.min < 0.0:
+            raise FieldError(f"min of {self.name} must be >= 0", "min")
+        # Before the mode, which defaults to the nominal.
+        if not self.min <= self.nominal <= self.max:
+            raise FieldError(f"nominal of {self.name} must lie within [min, max]",
+                             "nominal", "min", "max")
         if self.pdf == "triangular":
             if self.mode is None or not self.min <= self.mode <= self.max:
                 raise FieldError("triangular pdf requires min <= mode <= max", "mode", "min", "max")
         elif self.mode is not None:
             raise FieldError("uniform pdf takes no mode", "mode")
-        if not self.min <= self.nominal <= self.max:
-            raise FieldError(f"nominal of {self.name} must lie within [min, max]",
-                             "nominal", "min", "max")
         if not 2 <= self.grid_points <= MAX_GRID_POINTS:
             raise FieldError(f"grid_points must lie in [2, {MAX_GRID_POINTS}]", "grid_points")
+        # The weights sample_scenario draws from; `not (ok)` rejects a NaN sum too.
+        if not 0.0 < pdf_density(self, parameter_grid(self)).sum() < np.inf:
+            raise FieldError("pdf density on the value grid must be finite with a positive sum",
+                             "min", "max")
 
 
 @dataclass(frozen=True)

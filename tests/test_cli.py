@@ -606,6 +606,30 @@ class TestCliCommands:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"config error: {named}")
 
+    @pytest.mark.parametrize(
+        "payload,message",
+        [({"costs": {"c_yc": 40.0}}, "costs.c_yc: nominal of c_yc must lie within [min, max]"),
+         ({"uncertainty": {"occ": {"min": -1000.0, "max": 4000.0}}},
+          "uncertainty.occ.min: min of occ must be >= 0"),
+         ({"costs": {"c_fab": 1e200}, "uncertainty": {"c_fab": {"min": 0.0, "max": 2e200}}},
+          "uncertainty.c_fab.min / uncertainty.c_fab.max: pdf density on the value grid")],
+        ids=["nominal-before-mode", "negative-min", "density-overflows"],
+    )
+    def test_spec_sampling_cannot_draw_from_exits_2_before_any_search(
+        self, tmp_path, capsys, monkeypatch, payload, message
+    ):
+        def no_search(*args, **kwargs):
+            pytest.fail("the uncertainty spec is checked before any search")
+
+        monkeypatch.setattr("microlcoe.cli.optimize_design", no_search)
+        monkeypatch.setattr("microlcoe.analysis.optimize_design", no_search)
+        path = write_config(tmp_path, payload)
+        argv = ["study", "--mode", "all", "--n", "2", "--threads", "1", "--config", path,
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not (tmp_path / "o").exists()
+
     def test_range_override_repairs_a_repriced_cost(self, tmp_path, capsys):
         payload = {"costs": {"occ": 1500.0}, "uncertainty": {"occ": {"min": 1000.0}}}
         code = main(["lcoe", "--config", write_config(tmp_path, payload), "--design", DESIGN,

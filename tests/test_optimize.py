@@ -648,7 +648,7 @@ class TestDesignObjective:
     @pytest.mark.parametrize("value", [np.nan, np.inf, 1e9])
     def test_box_check_covers_every_block_of_a_large_matrix(self, value):
         objective = make_design_objective(DEFAULT_COSTS, DEFAULT_FINANCE)
-        block = microlcoe.optimize._BOX_BLOCK_ROWS
+        block = microlcoe.optimize._BLOCK_ROWS
         x = np.tile(CENTER, (2 * block + 7, 1))
         expected = objective(x)
         for row in (0, block - 1, block, 2 * block + 6):
@@ -775,6 +775,24 @@ class TestCompiledChain:
             for start in range(0, 300, size):
                 assert np.array_equal(objective(x[start:start + size]),
                                       scalar[start:start + size])
+
+    @pytest.mark.parametrize("weight", [0.0, 0.05])
+    @pytest.mark.parametrize(
+        "fin", [pytest.param(FINANCE_VARIANTS[name], id=name)
+                for name in ("stock", "escalated", "downtime_off")])
+    def test_blocked_objective_bit_identical_to_one_pass(self, fin, weight):
+        block = microlcoe.optimize._BLOCK_ROWS
+        x = corner_and_random_designs(2 * block + 7 - 32, seed=14)
+        assert len(x) == 2 * block + 7
+        terms = compile_lcoe(DEFAULT_COSTS, fin)
+        objective = make_design_objective(DEFAULT_COSTS, fin, weight)
+        for size in (0, 1, 2, block - 1, block, block + 1, 2 * block + 7):
+            values = terms(*x[:size].T)
+            expected = values[6] + weight * values[8] * values[8]
+            for matrix in (x[:size], np.asfortranarray(x[:size])):
+                got = objective(matrix)
+                assert got.shape == (size,)
+                assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("costs, fin", PROBLEMS)
     def test_lcoe_terms_match_hand_oracle(self, costs, fin):

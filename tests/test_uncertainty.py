@@ -81,9 +81,12 @@ class TestPdf:
          (("triangular", 0.0, 1.0, None, 0.5), "triangular pdf requires min <= mode <= max"),
          (("uniform", 0.0, 1.0, 0.5, 0.5), "uniform pdf takes no mode"),
          (("gaussian", 0.0, 1.0, None, 0.5), "pdf kind must be one of"),
-         (("uniform", 2500.0, 4000.0, None, 2000.0), "nominal of p must lie within")],
+         (("uniform", 2500.0, 4000.0, None, 2000.0), "nominal of p must lie within"),
+         (("triangular", 84.0, 156.0, 40.0, 40.0), "nominal of p must lie within"),
+         (("uniform", -1000.0, 4000.0, None, 3000.0), "min of p must be >= 0"),
+         (("triangular", 0.0, 2e200, 1e200, 1e200), "pdf density on the value grid must be")],
         ids=["empty-range", "mode-outside", "no-mode", "uniform-mode", "unknown-kind",
-             "nominal-outside"],
+             "nominal-outside", "nominal-before-mode", "negative-min", "density-overflows"],
     )
     def test_invalid_parameters(self, spec, message):
         with pytest.raises(ValueError, match=re.escape(message)):
